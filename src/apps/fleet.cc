@@ -213,9 +213,9 @@ FleetResult RunFleetScenario(const FleetOptions& options) {
         options.device_probe(i, sim.Now(), *devices[i]->laptop,
                              *devices[i]->supply);
       }
-      sim.Schedule(odsim::SimDuration::Seconds(1), probe_tick);
+      sim.ScheduleFixedDelay(odsim::SimDuration::Seconds(1), probe_tick);
     };
-    sim.Schedule(odsim::SimDuration::Seconds(1), probe_tick);
+    sim.ScheduleFixedDelay(odsim::SimDuration::Seconds(1), probe_tick);
   }
 
   sim.RunUntil(start + options.goal + options.run_slack);

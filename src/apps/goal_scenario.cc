@@ -134,9 +134,9 @@ GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
   if (options.tick_probe) {
     probe = [&] {
       options.tick_probe(bed, supply);
-      bed.sim().Schedule(odsim::SimDuration::Seconds(1), probe);
+      bed.sim().ScheduleFixedDelay(odsim::SimDuration::Seconds(1), probe);
     };
-    bed.sim().Schedule(odsim::SimDuration::Seconds(1), probe);
+    bed.sim().ScheduleFixedDelay(odsim::SimDuration::Seconds(1), probe);
   }
 
   if (bw_monitor != nullptr) {

@@ -35,8 +35,12 @@ void GoalDirector::Start(bool stop_sim_on_completion) {
     OnPowerSample(now, watts);
   });
   monitor_->Start();
-  next_eval_ = viceroy_->sim()->Schedule(config_.evaluation_period,
-                                         [this] { Evaluate(); });
+  ArmEvaluation();
+}
+
+void GoalDirector::ArmEvaluation() {
+  next_eval_ = viceroy_->sim()->ScheduleFixedDelay(config_.evaluation_period,
+                                                   [this] { Evaluate(); });
 }
 
 void GoalDirector::Stop() {
@@ -497,8 +501,7 @@ void GoalDirector::Evaluate() {
     // telemetry would be noise.  Completion checks above still run — they
     // use the true supply, not telemetry.
     infeasible_since_.reset();
-    next_eval_ = viceroy_->sim()->Schedule(config_.evaluation_period,
-                                           [this] { Evaluate(); });
+    ArmEvaluation();
     return;
   }
 
@@ -548,8 +551,7 @@ void GoalDirector::Evaluate() {
     infeasible_since_.reset();
   }
 
-  next_eval_ = viceroy_->sim()->Schedule(config_.evaluation_period,
-                                         [this] { Evaluate(); });
+  ArmEvaluation();
 }
 
 void GoalDirector::Complete(GoalOutcome outcome) {

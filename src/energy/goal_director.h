@@ -230,6 +230,8 @@ class GoalDirector {
  private:
   void OnPowerSample(odsim::SimTime now, double watts);
   void Evaluate();
+  // Schedules the next Evaluate one evaluation period from now.
+  void ArmEvaluation();
   void Complete(GoalOutcome outcome);
   void EnterSafeMode(odsim::SimTime now, const char* reason);
   void ExitSafeMode(odsim::SimTime now);

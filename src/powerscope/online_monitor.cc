@@ -53,7 +53,7 @@ void OnlineMonitor::TakeSample() {
     // interval ending here is a hole in the estimate.  The sampling
     // clock keeps ticking so recovery needs no re-arming.
     anchor_ = now;
-    next_ = sim_->Schedule(config_.period, [this] { TakeSample(); });
+    next_ = sim_->ScheduleFixedDelay(config_.period, [this] { TakeSample(); });
     return;
   }
   watts = *delivered;
@@ -76,7 +76,7 @@ void OnlineMonitor::TakeSample() {
   if (callback_) {
     callback_(now, watts);
   }
-  next_ = sim_->Schedule(config_.period, [this] { TakeSample(); });
+  next_ = sim_->ScheduleFixedDelay(config_.period, [this] { TakeSample(); });
 }
 
 }  // namespace odscope

@@ -34,10 +34,11 @@ uint32_t EventQueue::AllocSlot() {
   return static_cast<uint32_t>(slots_.size() - 1);
 }
 
-void EventQueue::FreeSlot(uint32_t slot) const {
+inline void EventQueue::FreeSlot(uint32_t slot) const {
   Slot& s = slots_[slot];
   s.fn = nullptr;
   s.cancelled = false;
+  s.lane = kHeapLane;
   ++s.gen;
   s.next_free = free_head_;
   free_head_ = slot;
@@ -98,6 +99,45 @@ EventHandle EventQueue::Push(SimTime at, EventFn fn) {
   return EventHandle(this, slot, s.gen);
 }
 
+void EventQueue::Lane::Grow() {
+  std::vector<HeapEntry> grown(ring.empty() ? 16 : ring.size() * 2);
+  for (size_t i = 0; i < count; ++i) {
+    grown[i] = at(i);
+  }
+  ring.swap(grown);
+  head = 0;
+}
+
+EventHandle EventQueue::PushLane(SimTime now, SimDuration delay, EventFn fn) {
+  const SimTime at = now + delay;
+  size_t index = 0;
+  while (index < lanes_.size() && lanes_[index].delay != delay) {
+    ++index;
+  }
+  if (index == lanes_.size()) {
+    if (index == kMaxLanes) {
+      return Push(at, std::move(fn));
+    }
+    lanes_.push_back(Lane{delay});
+  }
+  Lane& lane = lanes_[index];
+  // The O(1) push is exact only while the lane stays sorted: the new
+  // entry must not be earlier than the back (the fresh seq breaks ties).
+  OD_CHECK(lane.count == 0 || at >= lane.back().time);
+  uint32_t slot = AllocSlot();
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.lane = static_cast<uint8_t>(index);
+  lane.PushBack(HeapEntry{at, (next_seq_++ << kSlotBits) | uint64_t{slot}});
+  // Only this lane's front can have appeared.
+  if (lane.count == 1 &&
+      (lane_front_ == kNoSource ||
+       EarlierEntry(lane.front(), lanes_[lane_front_].front()))) {
+    lane_front_ = static_cast<int>(index);
+  }
+  return EventHandle(this, slot, s.gen);
+}
+
 void EventQueue::CancelSlot(uint32_t slot, uint32_t gen) {
   if (slot >= slots_.size()) {
     return;
@@ -108,6 +148,15 @@ void EventQueue::CancelSlot(uint32_t slot, uint32_t gen) {
   }
   s.cancelled = true;
   s.fn = nullptr;  // Release the closure (and anything it keeps alive) now.
+  if (s.lane != kHeapLane) {
+    Lane& lane = lanes_[s.lane];
+    ++lane.cancelled;
+    if (lane.cancelled >= kCompactMinCancelled &&
+        lane.cancelled * 2 > lane.count) {
+      CompactLane(lane);
+    }
+    return;
+  }
   ++cancelled_pending_;
   if (cancelled_pending_ >= kCompactMinCancelled &&
       cancelled_pending_ * 2 > heap_.size()) {
@@ -141,47 +190,102 @@ void EventQueue::Compact() {
   cancelled_pending_ = 0;
 }
 
-void EventQueue::SkipCancelled() const {
-  while (!heap_.empty() && slots_[heap_.front().slot()].cancelled) {
-    uint32_t slot = heap_.front().slot();
-    RemoveTop();
-    FreeSlot(slot);
-    --cancelled_pending_;
+void EventQueue::CompactLane(Lane& lane) {
+  size_t kept = 0;
+  for (size_t i = 0; i < lane.count; ++i) {
+    const HeapEntry e = lane.at(i);
+    if (slots_[e.slot()].cancelled) {
+      FreeSlot(e.slot());
+    } else {
+      lane.at(kept++) = e;
+    }
+  }
+  lane.count = kept;
+  lane.cancelled = 0;
+  RescanLanes();
+}
+
+inline void EventQueue::RescanLanes() const {
+  lane_front_ = kNoSource;
+  for (size_t i = 0; i < lanes_.size(); ++i) {
+    const Lane& lane = lanes_[i];
+    if (lane.count != 0 &&
+        (lane_front_ == kNoSource ||
+         EarlierEntry(lane.front(), lanes_[lane_front_].front()))) {
+      lane_front_ = static_cast<int>(i);
+    }
   }
 }
 
-bool EventQueue::empty() const {
-  SkipCancelled();
-  return heap_.empty();
+inline int EventQueue::Front() const {
+  for (;;) {
+    int best = heap_.empty() ? kNoSource : kHeapSource;
+    if (lane_front_ != kNoSource &&
+        (best == kNoSource ||
+         EarlierEntry(lanes_[lane_front_].front(), heap_.front()))) {
+      best = lane_front_;
+    }
+    if (best == kNoSource || !slots_[FrontEntry(best).slot()].cancelled) {
+      return best;
+    }
+    if (best == kHeapSource) {
+      --cancelled_pending_;
+    } else {
+      --lanes_[best].cancelled;
+    }
+    RemoveFront(best);
+  }
 }
 
+inline void EventQueue::RemoveFront(int source) const {
+  uint32_t slot = FrontEntry(source).slot();
+  if (source == kHeapSource) {
+    RemoveTop();
+  } else {
+    lanes_[source].PopFront();
+    RescanLanes();
+  }
+  FreeSlot(slot);
+}
+
+inline void EventQueue::TakeFront(int source, Popped* out) {
+  const HeapEntry& front = FrontEntry(source);
+  out->time = front.time;
+  out->fn = std::move(slots_[front.slot()].fn);
+  RemoveFront(source);
+}
+
+bool EventQueue::empty() const { return Front() == kNoSource; }
+
 SimTime EventQueue::NextTime() const {
-  SkipCancelled();
-  OD_CHECK(!heap_.empty());
-  return heap_.front().time;
+  int source = Front();
+  OD_CHECK(source != kNoSource);
+  return FrontEntry(source).time;
 }
 
 EventQueue::Popped EventQueue::Pop() {
-  SkipCancelled();
-  OD_CHECK(!heap_.empty());
-  HeapEntry top = heap_.front();
-  RemoveTop();
-  Popped popped{top.time, std::move(slots_[top.slot()].fn)};
-  FreeSlot(top.slot());
+  int source = Front();
+  OD_CHECK(source != kNoSource);
+  Popped popped;
+  TakeFront(source, &popped);
   return popped;
 }
 
 bool EventQueue::PopIfAtOrBefore(SimTime deadline, Popped* out) {
-  SkipCancelled();
-  if (heap_.empty() || heap_.front().time > deadline) {
+  int source = Front();
+  if (source == kNoSource || FrontEntry(source).time > deadline) {
     return false;
   }
-  HeapEntry top = heap_.front();
-  RemoveTop();
-  out->time = top.time;
-  out->fn = std::move(slots_[top.slot()].fn);
-  FreeSlot(top.slot());
+  TakeFront(source, out);
   return true;
+}
+
+size_t EventQueue::lane_capacity_for_testing() const {
+  size_t capacity = 0;
+  for (const Lane& lane : lanes_) {
+    capacity += lane.ring.size();
+  }
+  return capacity;
 }
 
 }  // namespace odsim

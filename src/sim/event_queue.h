@@ -10,6 +10,14 @@
 // entry in place to be skipped on pop; once enough cancelled entries pile
 // up the heap is compacted in one pass, so cancel-heavy workloads (RPC
 // deadline timers that are almost always cancelled) stay bounded.
+//
+// Fixed-delay lanes take self-rescheduling periodic timers off the heap.
+// A lane is a FIFO of the same {time, seq|slot} entries, all pushed at
+// now + d for one delay d.  With a non-decreasing now and a fresh sequence
+// number per push, each push is later than the lane's back, so the lane is
+// sorted by construction and pushing to it is O(1).  Pop takes the
+// earliest of the heap top and the lane fronts by the same (time, seq)
+// key, so the pop sequence is exactly the one an all-heap queue gives.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -60,6 +68,13 @@ class EventQueue {
   // Inserts an event; returns a handle usable for cancellation.
   EventHandle Push(SimTime at, EventFn fn);
 
+  // Inserts an event at now + delay on the FIFO lane for `delay`.  `now`
+  // must never decrease between calls (the simulator clock guarantees
+  // this).  Same handle semantics and pop order as Push(now + delay, fn);
+  // only the cost differs.  Once kMaxLanes distinct delays hold lanes,
+  // further delays go to the heap.
+  EventHandle PushLane(SimTime now, SimDuration delay, EventFn fn);
+
   bool empty() const;
 
   // Time of the earliest non-cancelled event.  Requires !empty().
@@ -80,7 +95,12 @@ class EventQueue {
 
   size_t size_for_testing() const { return heap_.size(); }
   // Cancelled entries still occupying the heap (awaiting skip/compaction).
+  // Lane entries never count here.
   size_t cancelled_count_for_testing() const { return cancelled_pending_; }
+  // Entries the lanes can hold without growing, summed over lanes.
+  size_t lane_capacity_for_testing() const;
+
+  static constexpr size_t kMaxLanes = 8;
 
  private:
   friend class EventHandle;
@@ -109,35 +129,86 @@ class EventQueue {
     }
     return a.seq_slot < b.seq_slot;
   }
+  static constexpr uint8_t kHeapLane = UINT8_MAX;
   struct Slot {
     EventFn fn;
     uint32_t gen = 0;
     bool cancelled = false;
+    uint8_t lane = kHeapLane;  // Where the slot's entry waits.
     uint32_t next_free = kNoSlot;
   };
 
+  // Ring buffer of entries in (time, seq) order.  Capacity is a power of
+  // two, at most max(16, 2 × the lane's peak entry count).
+  struct Lane {
+    SimDuration delay;
+    std::vector<HeapEntry> ring;
+    size_t head = 0;
+    size_t count = 0;
+    size_t cancelled = 0;
+
+    HeapEntry& at(size_t i) { return ring[(head + i) & (ring.size() - 1)]; }
+    const HeapEntry& front() const { return ring[head]; }
+    const HeapEntry& back() const {
+      return ring[(head + count - 1) & (ring.size() - 1)];
+    }
+    void PushBack(const HeapEntry& e) {
+      if (count == ring.size()) {
+        Grow();
+      }
+      ring[(head + count) & (ring.size() - 1)] = e;
+      ++count;
+    }
+    void Grow();
+    void PopFront() {
+      head = (head + 1) & (ring.size() - 1);
+      --count;
+    }
+  };
+
+  // Front() result: the heap, a lane index, or nothing pending.
+  static constexpr int kHeapSource = -1;
+  static constexpr int kNoSource = -2;
+
   uint32_t AllocSlot();
-  // Recycles a slot whose heap entry is gone; bumps gen so stale handles
-  // are inert.  Const so SkipCancelled can call it; touches only the
-  // mutable arena state.
+  // Recycles a slot whose entry is gone; bumps gen so stale handles are
+  // inert.  Const so Front can call it; touches only the mutable arena
+  // state.
   void FreeSlot(uint32_t slot) const;
   void CancelSlot(uint32_t slot, uint32_t gen);
   bool SlotPending(uint32_t slot, uint32_t gen) const;
   // One-pass removal of all cancelled entries followed by a heap rebuild.
   void Compact();
+  // Same for one lane; survivors keep their order.
+  void CompactLane(Lane& lane);
+  // Recomputes lane_front_ after a lane's front moved back.
+  void RescanLanes() const;
 
-  // 4-ary heap primitives over heap_.  Const because SkipCancelled needs
-  // them; they touch only the mutable heap state.
+  // 4-ary heap primitives over heap_.  Const because Front needs them;
+  // they touch only the mutable heap state.
   void SiftUp(size_t i) const;
   void SiftDown(size_t i) const;
   // Removes heap_[0], preserving the heap property.
   void RemoveTop() const;
 
-  // Drops cancelled events from the top of the heap.  Const because the
-  // queue's logical contents don't change, matching empty()/NextTime().
-  void SkipCancelled() const;
+  // Source of the earliest live entry (kHeapSource, a lane index, or
+  // kNoSource), dropping cancelled entries that reach the front on the
+  // way.  Const because the queue's logical contents don't change,
+  // matching empty()/NextTime().
+  int Front() const;
+  const HeapEntry& FrontEntry(int source) const {
+    return source == kHeapSource ? heap_.front() : lanes_[source].front();
+  }
+  // Removes the front entry of `source` and frees its slot.
+  void RemoveFront(int source) const;
+  // Moves the front of `source` (which must be live) into `out`.
+  void TakeFront(int source, Popped* out);
 
   mutable std::vector<HeapEntry> heap_;
+  mutable std::vector<Lane> lanes_;
+  // Lane with the earliest front, or kNoSource when all lanes are empty;
+  // heap pops, the common case, then compare against one lane front.
+  mutable int lane_front_ = kNoSource;
   mutable std::vector<Slot> slots_;
   mutable uint32_t free_head_ = kNoSlot;
   mutable size_t cancelled_pending_ = 0;

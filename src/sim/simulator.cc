@@ -13,6 +13,11 @@ EventHandle Simulator::Schedule(SimDuration delay, EventFn fn) {
   return queue_.Push(now_ + delay, std::move(fn));
 }
 
+EventHandle Simulator::ScheduleFixedDelay(SimDuration delay, EventFn fn) {
+  OD_CHECK(delay >= SimDuration::Zero());
+  return queue_.PushLane(now_, delay, std::move(fn));
+}
+
 EventHandle Simulator::ScheduleAt(SimTime at, EventFn fn) {
   OD_CHECK(at >= now_);
   return queue_.Push(at, std::move(fn));

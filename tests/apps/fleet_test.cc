@@ -136,6 +136,55 @@ TEST(FleetScenarioTest, FleetOfOneThroughProviderMatchesPrivateServers) {
   }
 }
 
+// The events contract.  Monitor samples, director evaluations and the
+// 1 Hz probe re-arm on fixed periods and run on the simulator's
+// fixed-delay lanes; each keeps its (time, seq) key, so the fleet must
+// dispatch exactly as many events, in the same order, as when every timer
+// sat in the heap.  The pinned numbers were recorded with all-heap
+// scheduling; residuals are held to the golden gate's 1e-9 tolerance.
+TEST(FleetScenarioTest, LaneScheduledTimersKeepTheEventsContract) {
+  FleetOptions options;
+  options.clients = 50;
+  options.seed = 14;
+  options.goal = odsim::SimDuration::Seconds(60);
+  options.service.cache_capacity = 64;
+  int probes = 0;
+  options.device_probe = [&](int, odsim::SimTime, odpower::Laptop&,
+                             odpower::EnergySupply&) { ++probes; };
+
+  FleetResult result = RunFleetScenario(options);
+
+  EXPECT_EQ(result.events_processed, 11342u);
+  EXPECT_EQ(probes, 3100);
+  EXPECT_EQ(result.goal_met_count, 50);
+  EXPECT_EQ(result.total_fetches, 602);
+  EXPECT_EQ(result.server_cache_hits, 149);
+  const std::vector<double> residuals = {
+      2.6611358299998926, 2.4051540599998589, 2.7038346399998829,
+      2.6922846399998832, 2.6919481499998881, 2.4213856599999133,
+      2.427882919999945, 2.3964045499998861, 2.738484639999939,
+      2.3752742099999296, 2.7250227299998642, 2.4229333599998313,
+      2.6807346399999119, 2.715058929999941, 2.726934639999854,
+      2.6837468799999158, 2.6887380199999029, 2.6608078099999091,
+      2.7153846399999395, 2.6691846399998838, 2.6922846399999401,
+      2.7325918299998193, 2.6961107699999047, 2.7153846399999111,
+      2.688734939999847, 2.7038346399999114, 2.6955201799999031,
+      2.7038346399998829, 2.7038346399998261, 2.6763795199998697,
+      2.6922846399999116, 2.7172680599998955, 2.6959228899998777,
+      2.6820151499998701, 2.6612759699998492, 2.7038346399999398,
+      2.6839855799998986, 3.0006279499998243, 2.7153846399998827,
+      2.7087795799998844, 2.7038346399999114, 2.7269346399998824,
+      2.7120428399999241, 2.6739008899998566, 2.6934157699999162,
+      2.6922846399998832, 2.9464807799998596, 2.7269346399999108,
+      2.9586529399998938, 2.9684434899998564};
+  ASSERT_EQ(result.devices.size(), residuals.size());
+  for (size_t i = 0; i < residuals.size(); ++i) {
+    EXPECT_NEAR(result.devices[i].residual_joules, residuals[i],
+                1e-9 * residuals[i])
+        << "device " << i;
+  }
+}
+
 // Scenario diversity assigns each device a behavior timeline from the
 // named library by seed-indexed rotation and gates its fetch loop on it.
 // With one device per library entry, the commuter's tunnel (a coverage
