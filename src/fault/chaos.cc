@@ -19,8 +19,8 @@ constexpr FaultKind kAllKinds[] = {
     FaultKind::kGaugeDrift,   FaultKind::kGaugeRamp,
 };
 
-// Round to ~3 decimals so the generated plan survives the canonical %g
-// rendering: Parse(ToString(plan)) must reproduce the plan exactly.
+// Round to 3 decimals so the plan's canonical spelling (its repro string)
+// stays short; the rendering itself is exact at any precision.
 double Round3(double value) { return std::round(value * 1000.0) / 1000.0; }
 
 double DrawMagnitude(FaultKind kind, odutil::Rng& rng) {

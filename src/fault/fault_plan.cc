@@ -1,167 +1,34 @@
 #include "src/fault/fault_plan.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <iterator>
 
 namespace odfault {
 namespace {
 
-struct KindInfo {
-  FaultKind kind;
-  const char* name;
-  bool takes_magnitude;
-  double default_magnitude;
+// Indexed by FaultKind.  Ranges: bandwidth keeps a fraction in (0, 1], loss
+// is a probability in [0, 1), the scales are > 0.
+constexpr WindowKind kFaultKinds[] = {
+    {"bandwidth", true, 0.1, {.hi = 1.0, .hi_closed = true}},
+    {"outage", false, 0.0, {}},
+    {"loss", true, 0.3, {.lo_closed = true, .hi = 1.0}},
+    {"stall", false, 0.0, {}},
+    {"disk", true, 8.0, {}},
+    {"dropout", false, 0.0, {}},
+    {"stale", false, 0.0, {}},
+    {"nan", false, 0.0, {}},
+    {"gauge", true, 3.0, {}},
+    {"ramp", true, 2.0, {}},
 };
+static_assert(std::size(kFaultKinds) ==
+              static_cast<size_t>(FaultKind::kGaugeRamp) + 1);
 
-constexpr KindInfo kKinds[] = {
-    {FaultKind::kBandwidth, "bandwidth", true, 0.1},
-    {FaultKind::kOutage, "outage", false, 0.0},
-    {FaultKind::kLossBurst, "loss", true, 0.3},
-    {FaultKind::kServerStall, "stall", false, 0.0},
-    {FaultKind::kDiskLatency, "disk", true, 8.0},
-    {FaultKind::kSampleDropout, "dropout", false, 0.0},
-    {FaultKind::kStaleTelemetry, "stale", false, 0.0},
-    {FaultKind::kNanTelemetry, "nan", false, 0.0},
-    {FaultKind::kGaugeDrift, "gauge", true, 3.0},
-    {FaultKind::kGaugeRamp, "ramp", true, 2.0},
-};
-
-const KindInfo* FindKind(const std::string& name) {
-  for (const KindInfo& info : kKinds) {
-    if (name == info.name) {
-      return &info;
-    }
-  }
-  return nullptr;
-}
-
-const KindInfo& Info(FaultKind kind) {
-  for (const KindInfo& info : kKinds) {
-    if (info.kind == kind) {
-      return info;
-    }
-  }
-  return kKinds[0];  // Unreachable: kKinds covers the enum.
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size();
-}
-
-bool MagnitudeValid(FaultKind kind, double magnitude) {
-  switch (kind) {
-    case FaultKind::kBandwidth:
-      return magnitude > 0.0 && magnitude <= 1.0;
-    case FaultKind::kLossBurst:
-      return magnitude >= 0.0 && magnitude < 1.0;
-    case FaultKind::kDiskLatency:
-    case FaultKind::kGaugeDrift:
-    case FaultKind::kGaugeRamp:
-      return magnitude > 0.0;
-    case FaultKind::kOutage:
-    case FaultKind::kServerStall:
-    case FaultKind::kSampleDropout:
-    case FaultKind::kStaleTelemetry:
-    case FaultKind::kNanTelemetry:
-      return true;
-  }
-  return false;
-}
-
-// %g keeps "0.1" as "0.1" and "30" as "30": the canonical rendering stays
-// close to what a human would type.
-std::string FormatNumber(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%g", value);
-  return buffer;
-}
-
-// `line` / `column` locate the event's first character in the original
-// spec; sub-token failures offset the column to the token itself.
-bool ParseEvent(const std::string& text, int line, int column,
-                FaultEvent* event, std::string* error) {
-  auto fail = [&](size_t offset, const std::string& token,
-                  const std::string& why) {
-    if (error != nullptr) {
-      *error = SpecError(line, column + static_cast<int>(offset), token, why);
-    }
-    return false;
-  };
-  size_t at_pos = text.find('@');
-  if (at_pos == std::string::npos) {
-    return fail(0, text, "expected kind@start+duration[=magnitude]");
-  }
-  const std::string kind_text = text.substr(0, at_pos);
-  const KindInfo* info = FindKind(kind_text);
-  if (info == nullptr) {
-    return fail(0, kind_text,
-                "unknown kind "
-                "(bandwidth|outage|loss|stall|disk|dropout|stale|nan|gauge|"
-                "ramp)");
-  }
-  size_t plus_pos = text.find('+', at_pos + 1);
-  if (plus_pos == std::string::npos) {
-    return fail(at_pos + 1, text.substr(at_pos + 1), "expected '+duration'");
-  }
-  size_t eq_pos = text.find('=', plus_pos + 1);
-  double start = 0.0;
-  double duration = 0.0;
-  const std::string start_text = text.substr(at_pos + 1, plus_pos - at_pos - 1);
-  if (!ParseDouble(start_text, &start) || start < 0.0) {
-    return fail(at_pos + 1, start_text,
-                "start must be a nonnegative number of seconds");
-  }
-  const std::string duration_text =
-      eq_pos == std::string::npos
-          ? text.substr(plus_pos + 1)
-          : text.substr(plus_pos + 1, eq_pos - plus_pos - 1);
-  if (!ParseDouble(duration_text, &duration) || duration <= 0.0) {
-    return fail(plus_pos + 1, duration_text,
-                "duration must be a positive number of seconds");
-  }
-  double magnitude = info->default_magnitude;
-  if (eq_pos != std::string::npos) {
-    const std::string magnitude_text = text.substr(eq_pos + 1);
-    if (!info->takes_magnitude) {
-      return fail(eq_pos, "=" + magnitude_text,
-                  std::string(info->name) + " takes no magnitude");
-    }
-    if (!ParseDouble(magnitude_text, &magnitude)) {
-      return fail(eq_pos + 1, magnitude_text, "magnitude must be a number");
-    }
-    if (!MagnitudeValid(info->kind, magnitude)) {
-      return fail(eq_pos + 1, magnitude_text,
-                  "magnitude out of range for " + std::string(info->name));
-    }
-  } else if (!MagnitudeValid(info->kind, magnitude)) {
-    return fail(0, text, "magnitude out of range for " + std::string(info->name));
-  }
-  event->kind = info->kind;
-  event->at = odsim::SimDuration::Seconds(start);
-  event->duration = odsim::SimDuration::Seconds(duration);
-  event->magnitude = magnitude;
-  return true;
-}
+constexpr WindowGrammar kGrammar{kFaultKinds, "kind", "magnitude", false};
 
 }  // namespace
 
-std::string SpecError(int line, int column, const std::string& token,
-                      const std::string& why) {
-  std::string message =
-      "line " + std::to_string(line) + ", col " + std::to_string(column) +
-      ": " + why;
-  if (!token.empty()) {
-    message += " near '" + token + "'";
-  }
-  return message;
+const char* FaultKindName(FaultKind kind) {
+  return kFaultKinds[static_cast<int>(kind)].name;
 }
-
-const char* FaultKindName(FaultKind kind) { return Info(kind).name; }
 
 bool IsTelemetryFault(FaultKind kind) {
   switch (kind) {
@@ -177,61 +44,26 @@ bool IsTelemetryFault(FaultKind kind) {
 }
 
 std::string FaultPlan::ToString() const {
-  std::string spec;
+  std::vector<Window> windows;
+  windows.reserve(events.size());
   for (const FaultEvent& event : events) {
-    if (!spec.empty()) {
-      spec += ';';
-    }
-    spec += FaultKindName(event.kind);
-    spec += '@';
-    spec += FormatNumber(event.at.seconds());
-    spec += '+';
-    spec += FormatNumber(event.duration.seconds());
-    if (Info(event.kind).takes_magnitude) {
-      spec += '=';
-      spec += FormatNumber(event.magnitude);
-    }
+    windows.push_back({static_cast<int>(event.kind), event.at, event.duration,
+                       event.magnitude});
   }
-  return spec;
+  return kGrammar.ToString("", windows);
 }
 
 bool FaultPlan::Parse(const std::string& spec, FaultPlan* plan,
                       std::string* error) {
-  FaultPlan parsed;
-  size_t pos = 0;
-  int line = 1;
-  int column = 1;
-  while (pos < spec.size()) {
-    size_t sep = spec.find_first_of(";\n", pos);
-    if (sep == std::string::npos) {
-      sep = spec.size();
-    }
-    std::string piece = spec.substr(pos, sep - pos);
-    // Surrounding whitespace is separator decoration, not token content;
-    // keep the column pointing at the event's first character.
-    size_t lead = piece.find_first_not_of(" \t");
-    if (lead == std::string::npos) {
-      piece.clear();
-    } else {
-      piece = piece.substr(lead, piece.find_last_not_of(" \t") - lead + 1);
-    }
-    if (!piece.empty()) {
-      FaultEvent event;
-      if (!ParseEvent(piece, line, column + static_cast<int>(lead), &event,
-                      error)) {
-        return false;
-      }
-      parsed.events.push_back(event);
-    }
-    if (sep < spec.size() && spec[sep] == '\n') {
-      ++line;
-      column = 1;
-    } else {
-      column += static_cast<int>(sep - pos) + 1;
-    }
-    pos = sep + 1;
+  std::vector<Window> windows;
+  if (!kGrammar.Parse(spec, nullptr, &windows, error)) {
+    return false;
   }
-  *plan = std::move(parsed);
+  plan->events.clear();
+  for (const Window& window : windows) {
+    plan->events.push_back({static_cast<FaultKind>(window.kind), window.at,
+                            window.duration, window.param});
+  }
   return true;
 }
 

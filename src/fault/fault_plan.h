@@ -6,12 +6,14 @@
 // stale/NaN readings, gauge drift) — that the FaultInjector replays through
 // the discrete-event simulator.  Plans are written in a compact spec grammar
 // so they can ride in a command-line flag and land verbatim in artifact
-// provenance:
+// provenance.  It is the shared window-spec grammar (src/fault/window_spec.h)
+// without the name tag:
 //
 //   event   := kind '@' start '+' duration [ '=' magnitude ]
 //   plan    := event ( ( ';' | newline ) event )*
 //
-// with start/duration in (fractional) seconds relative to Arm().  Example:
+// with start/duration in (fractional) seconds relative to Arm() and '#'
+// starting a to-end-of-line comment.  Example:
 //
 //   "bandwidth@20+30=0.1;outage@60+10;loss@90+15=0.3"
 //
@@ -39,7 +41,9 @@
 // analytic accounting are untouched, which is exactly what makes them a
 // test of the goal controller's health machinery (src/energy).
 //
-// ToString() renders the canonical spec; Parse(ToString()) round-trips.
+// Numbers must be finite and each window representable in whole
+// microseconds (window_spec.h).  ToString() renders the canonical spec and
+// Parse(ToString()) reproduces every window exactly, not just the spelling.
 
 #ifndef SRC_FAULT_FAULT_PLAN_H_
 #define SRC_FAULT_FAULT_PLAN_H_
@@ -47,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "src/fault/window_spec.h"
 #include "src/sim/time.h"
 
 namespace odfault {
@@ -88,24 +93,17 @@ struct FaultPlan {
 
   bool empty() const { return events.empty(); }
 
-  // Canonical spec string; round-trips through Parse.  Empty plan -> "".
+  // Canonical spec string; replays exactly through Parse.  Empty plan -> "".
   std::string ToString() const;
 
   // Parses the spec grammar.  Events are separated by ';' or newlines (so a
-  // plan can ride in a flag or in a file).  On failure returns false and,
-  // when `error` is non-null, a position-annotated description of the first
-  // problem ("line L, col C: <why> near '<token>'" — see SpecError).  An
-  // empty spec parses to an empty plan.
+  // plan can ride in a flag or in a file) and '#' comments are allowed; a
+  // leading "name:" tag is not (it fails as an unknown kind).  On failure
+  // returns false and, when `error` is non-null, a position-annotated
+  // description of the first problem ("line L, col C: <why> near '<token>'"
+  // — see SpecError).  An empty spec parses to an empty plan.
   static bool Parse(const std::string& spec, FaultPlan* plan, std::string* error);
 };
-
-// Formats a position-annotated spec-grammar error: "line L, col C: <why>
-// near '<token>'".  Shared by the fault-plan and scenario grammars so their
-// diagnostics read identically; both surface it through odbench with exit
-// code 64.  Line and column are 1-based; an empty token drops the "near"
-// clause.
-std::string SpecError(int line, int column, const std::string& token,
-                      const std::string& why);
 
 }  // namespace odfault
 

@@ -127,8 +127,8 @@ int RunExperiments(const std::vector<const Experiment*>& experiments,
   }
   JobBudget::Global().ConfigurePipe(fds[0], fds[1]);
 
-  // Start order: most expensive first so fig22_longrun/micro_overhead
-  // overlap the short tail.  Purely a scheduling choice — output replay
+  // Start order: most expensive first so simspeed/fleet_sweep overlap
+  // the short tail.  Purely a scheduling choice — output replay
   // and artifacts follow the caller's (registry) order.
   std::vector<size_t> queue(n);
   for (size_t i = 0; i < n; ++i) {

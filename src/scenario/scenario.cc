@@ -1,167 +1,36 @@
 #include "src/scenario/scenario.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
+#include <iterator>
 #include <utility>
 
 namespace odscenario {
 namespace {
 
-struct PhaseInfo {
-  PhaseKind kind;
-  const char* name;
-  bool takes_param;
-  double default_param;
+// Indexed by PhaseKind.  Ranges: the rates and periods are > 0, burst is a
+// switch probability in (0, 1), gap keeps a bandwidth fraction in [0, 1).
+constexpr odfault::WindowKind kPhaseKinds[] = {
+    {"video", false, 0.0, {}},
+    {"web", true, 5.0, {}},
+    {"map", true, 5.0, {}},
+    {"speech", true, 5.0, {}},
+    {"composite", true, 25.0, {}},
+    {"burst", true, 0.1, {.hi = 1.0}},
+    {"sync", true, 60.0, {}},
+    {"idle", false, 0.0, {}},
+    {"gap", true, 0.0, {.lo_closed = true, .hi = 1.0}},
 };
+static_assert(std::size(kPhaseKinds) ==
+              static_cast<size_t>(PhaseKind::kGap) + 1);
 
-constexpr PhaseInfo kPhases[] = {
-    {PhaseKind::kVideo, "video", false, 0.0},
-    {PhaseKind::kWeb, "web", true, 5.0},
-    {PhaseKind::kMap, "map", true, 5.0},
-    {PhaseKind::kSpeech, "speech", true, 5.0},
-    {PhaseKind::kComposite, "composite", true, 25.0},
-    {PhaseKind::kBurst, "burst", true, 0.1},
-    {PhaseKind::kSync, "sync", true, 60.0},
-    {PhaseKind::kIdle, "idle", false, 0.0},
-    {PhaseKind::kGap, "gap", true, 0.0},
-};
-
-const PhaseInfo* FindPhaseKind(const std::string& name) {
-  for (const PhaseInfo& info : kPhases) {
-    if (name == info.name) {
-      return &info;
-    }
-  }
-  return nullptr;
-}
-
-const PhaseInfo& Info(PhaseKind kind) {
-  for (const PhaseInfo& info : kPhases) {
-    if (info.kind == kind) {
-      return info;
-    }
-  }
-  return kPhases[0];  // Unreachable: kPhases covers the enum.
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size();
-}
-
-bool ParamValid(PhaseKind kind, double param) {
-  switch (kind) {
-    case PhaseKind::kWeb:
-    case PhaseKind::kMap:
-    case PhaseKind::kSpeech:
-    case PhaseKind::kComposite:
-    case PhaseKind::kSync:
-      return param > 0.0;
-    case PhaseKind::kBurst:
-      return param > 0.0 && param < 1.0;
-    case PhaseKind::kGap:
-      return param >= 0.0 && param < 1.0;
-    case PhaseKind::kVideo:
-    case PhaseKind::kIdle:
-      return true;
-  }
-  return false;
-}
-
-// %g keeps "0.1" as "0.1" and "30" as "30", matching FaultPlan's canonical
-// rendering.
-std::string FormatNumber(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%g", value);
-  return buffer;
-}
-
-bool ValidName(const std::string& name) {
-  if (name.empty()) {
-    return false;
-  }
-  for (char c : name) {
-    if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '_') {
-      return false;
-    }
-  }
-  return true;
-}
-
-// `line` / `column` locate the phase's first character in the original
-// spec; sub-token failures offset the column to the token itself.
-bool ParsePhase(const std::string& text, int line, int column,
-                ScenarioPhase* phase, std::string* error) {
-  auto fail = [&](size_t offset, const std::string& token,
-                  const std::string& why) {
-    if (error != nullptr) {
-      *error = odfault::SpecError(line, column + static_cast<int>(offset),
-                                  token, why);
-    }
-    return false;
-  };
-  size_t at_pos = text.find('@');
-  if (at_pos == std::string::npos) {
-    return fail(0, text, "expected kind@start+duration[=param]");
-  }
-  const std::string kind_text = text.substr(0, at_pos);
-  const PhaseInfo* info = FindPhaseKind(kind_text);
-  if (info == nullptr) {
-    return fail(0, kind_text,
-                "unknown phase kind "
-                "(video|web|map|speech|composite|burst|sync|idle|gap)");
-  }
-  size_t plus_pos = text.find('+', at_pos + 1);
-  if (plus_pos == std::string::npos) {
-    return fail(at_pos + 1, text.substr(at_pos + 1), "expected '+duration'");
-  }
-  size_t eq_pos = text.find('=', plus_pos + 1);
-  double start = 0.0;
-  double duration = 0.0;
-  const std::string start_text = text.substr(at_pos + 1, plus_pos - at_pos - 1);
-  if (!ParseDouble(start_text, &start) || start < 0.0) {
-    return fail(at_pos + 1, start_text,
-                "start must be a nonnegative number of seconds");
-  }
-  const std::string duration_text =
-      eq_pos == std::string::npos
-          ? text.substr(plus_pos + 1)
-          : text.substr(plus_pos + 1, eq_pos - plus_pos - 1);
-  if (!ParseDouble(duration_text, &duration) || duration <= 0.0) {
-    return fail(plus_pos + 1, duration_text,
-                "duration must be a positive number of seconds");
-  }
-  double param = info->default_param;
-  if (eq_pos != std::string::npos) {
-    const std::string param_text = text.substr(eq_pos + 1);
-    if (!info->takes_param) {
-      return fail(eq_pos, "=" + param_text,
-                  std::string(info->name) + " takes no param");
-    }
-    if (!ParseDouble(param_text, &param)) {
-      return fail(eq_pos + 1, param_text, "param must be a number");
-    }
-    if (!ParamValid(info->kind, param)) {
-      return fail(eq_pos + 1, param_text,
-                  "param out of range for " + std::string(info->name));
-    }
-  }
-  phase->kind = info->kind;
-  phase->at = odsim::SimDuration::Seconds(start);
-  phase->duration = odsim::SimDuration::Seconds(duration);
-  phase->param = param;
-  return true;
-}
+constexpr odfault::WindowGrammar kGrammar{kPhaseKinds, "phase kind", "param",
+                                          true};
 
 }  // namespace
 
-const char* PhaseKindName(PhaseKind kind) { return Info(kind).name; }
+const char* PhaseKindName(PhaseKind kind) {
+  return kPhaseKinds[static_cast<int>(kind)].name;
+}
 
 odsim::SimDuration Scenario::Duration() const {
   odsim::SimDuration end = odsim::SimDuration::Zero();
@@ -172,110 +41,28 @@ odsim::SimDuration Scenario::Duration() const {
 }
 
 std::string Scenario::ToString() const {
-  if (phases.empty()) {
-    return "";
-  }
-  std::string spec;
-  if (!name.empty()) {
-    spec = name + ": ";
-  }
-  bool first = true;
+  std::vector<odfault::Window> windows;
+  windows.reserve(phases.size());
   for (const ScenarioPhase& phase : phases) {
-    if (!first) {
-      spec += ';';
-    }
-    first = false;
-    spec += PhaseKindName(phase.kind);
-    spec += '@';
-    spec += FormatNumber(phase.at.seconds());
-    spec += '+';
-    spec += FormatNumber(phase.duration.seconds());
-    if (Info(phase.kind).takes_param) {
-      spec += '=';
-      spec += FormatNumber(phase.param);
-    }
+    windows.push_back({static_cast<int>(phase.kind), phase.at, phase.duration,
+                       phase.param});
   }
-  return spec;
+  return kGrammar.ToString(name, windows);
 }
 
 bool Scenario::Parse(const std::string& spec, Scenario* scenario,
                      std::string* error) {
-  Scenario parsed;
-  bool name_allowed = true;
-  size_t pos = 0;
-  int line = 1;
-  int column = 1;
-  while (pos <= spec.size()) {
-    size_t sep = spec.find_first_of(";\n", pos);
-    if (sep == std::string::npos) {
-      sep = spec.size();
-    }
-    std::string piece = spec.substr(pos, sep - pos);
-    size_t base_column = static_cast<size_t>(column);
-    // '#' starts a comment running to the end of the line; it also swallows
-    // any ';' after it on that line, so scan ahead when one appears.
-    size_t hash = piece.find('#');
-    if (hash != std::string::npos) {
-      size_t eol = spec.find('\n', pos);
-      if (eol == std::string::npos) {
-        eol = spec.size();
-      }
-      piece = piece.substr(0, hash);
-      sep = eol;
-    }
-    size_t lead = piece.find_first_not_of(" \t");
-    if (lead == std::string::npos) {
-      piece.clear();
-    } else {
-      piece = piece.substr(lead, piece.find_last_not_of(" \t") - lead + 1);
-      base_column += lead;
-    }
-    if (!piece.empty() && name_allowed) {
-      // A leading "name:" tag may share its piece with the first phase.
-      size_t colon = piece.find(':');
-      if (colon != std::string::npos &&
-          piece.find_first_of("@+=") > colon) {
-        const std::string name = piece.substr(0, colon);
-        if (!ValidName(name)) {
-          if (error != nullptr) {
-            *error = odfault::SpecError(
-                line, static_cast<int>(base_column), name,
-                "scenario name must be letters, digits, or '_'");
-          }
-          return false;
-        }
-        parsed.name = name;
-        size_t rest = piece.find_first_not_of(" \t", colon + 1);
-        if (rest == std::string::npos) {
-          piece.clear();
-        } else {
-          base_column += rest;
-          piece = piece.substr(rest);
-        }
-      }
-      name_allowed = false;
-    }
-    if (!piece.empty()) {
-      ScenarioPhase phase;
-      if (!ParsePhase(piece, line, static_cast<int>(base_column), &phase,
-                      error)) {
-        return false;
-      }
-      parsed.phases.push_back(phase);
-      name_allowed = false;
-    }
-    if (sep >= spec.size()) {
-      break;
-    }
-    if (spec[sep] == '\n') {
-      ++line;
-      column = 1;
-    } else {
-      column += static_cast<int>(sep - pos) + 1;
-    }
-    pos = sep + 1;
+  std::string name;
+  std::vector<odfault::Window> windows;
+  if (!kGrammar.Parse(spec, &name, &windows, error)) {
+    return false;
   }
-  *scenario = std::move(parsed);
+  scenario->name = std::move(name);
+  scenario->phases.clear();
+  for (const odfault::Window& window : windows) {
+    scenario->phases.push_back({static_cast<PhaseKind>(window.kind), window.at,
+                                window.duration, window.param});
+  }
   return true;
 }
 

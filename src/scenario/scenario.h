@@ -5,7 +5,8 @@
 // days — that drives the existing applications through the simulator.  It
 // mirrors FaultPlan's design: a builder API plus a compact text grammar
 // that rides in a command-line flag and lands verbatim in artifact
-// provenance:
+// provenance.  The grammar is the window-spec grammar fault plans use
+// (src/fault/window_spec.h), with the name tag allowed:
 //
 //   phase    := kind '@' start '+' duration [ '=' param ]
 //   scenario := [ name ':' ] phase ( ( ';' | newline ) phase )*
@@ -38,9 +39,10 @@
 // the behavior timeline and the disturbance plan it implies are one
 // artifact — the commuter's tunnel is the same object in both layers.
 //
-// ToString() renders the canonical spelling; Parse(ToString()) round-trips.
-// Parse errors carry line + column + offending token (odfault::SpecError),
-// identical in shape to fault-plan diagnostics.
+// Numbers must be finite and each phase representable in whole
+// microseconds (window_spec.h).  ToString() renders the canonical spelling
+// and Parse(ToString()) reproduces the name and every phase exactly.  Parse
+// errors are odfault::SpecError, the same shape as fault-plan diagnostics.
 
 #ifndef SRC_SCENARIO_SCENARIO_H_
 #define SRC_SCENARIO_SCENARIO_H_
@@ -87,7 +89,8 @@ struct Scenario {
   // End of the latest phase window — the scenario's natural length.
   odsim::SimDuration Duration() const;
 
-  // Canonical spelling; round-trips through Parse.  Empty scenario -> "".
+  // Canonical spelling; replays exactly through Parse.  A named scenario
+  // with no phases renders as "name:"; an unnamed empty one as "".
   std::string ToString() const;
 
   // Parses the text grammar ('#' comments, ';' or newline separators,

@@ -212,6 +212,36 @@ TEST(ScenarioChaosPlanTest, GeneratedPlansRoundTripThroughTheGrammar) {
   }
 }
 
+// Past 1000 s, Round3 leaves seven significant digits, one more than plain
+// %g keeps.  The canonical string must still replay to the same windows,
+// not merely to the same (truncated) string.
+TEST(ScenarioChaosPlanTest, LongHorizonPlansReplayToEqualWindows) {
+  const FaultPlan environment = TestEnvironment();
+  ScenarioChaosConfig config;
+  config.horizon_seconds = 5000.0;
+  int seven_digit_starts = 0;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    const FaultPlan plan = GenerateScenarioChaosPlan(seed, environment, config);
+    FaultPlan reparsed;
+    std::string error;
+    ASSERT_TRUE(FaultPlan::Parse(plan.ToString(), &reparsed, &error))
+        << "seed " << seed << ": " << error;
+    ASSERT_EQ(reparsed.events.size(), plan.events.size()) << "seed " << seed;
+    for (size_t i = 0; i < plan.events.size(); ++i) {
+      const FaultEvent& want = plan.events[i];
+      const FaultEvent& got = reparsed.events[i];
+      EXPECT_EQ(got.kind, want.kind) << "seed " << seed;
+      EXPECT_EQ(got.at, want.at) << "seed " << seed << " " << plan.ToString();
+      EXPECT_EQ(got.duration, want.duration) << "seed " << seed;
+      EXPECT_EQ(got.magnitude, want.magnitude) << "seed " << seed;
+      if (want.at.seconds() >= 1000.0 && want.at.micros() % 10000 != 0) {
+        ++seven_digit_starts;
+      }
+    }
+  }
+  EXPECT_GT(seven_digit_starts, 0);  // The case %g used to truncate.
+}
+
 TEST(ScenarioChaosPlanTest, SeedToPlanMappingIsByteStable) {
   const FaultPlan environment = TestEnvironment();
   EXPECT_EQ(GenerateScenarioChaosPlan(1, environment).ToString(),

@@ -151,6 +151,65 @@ TEST(FaultPlanTest, ErrorsCarryLineColumnAndToken) {
   }
 }
 
+// Minimized regressions: numbers that cannot become an exact SimTime window
+// are rejected with a position instead of reaching an out-of-range int64
+// cast (nan, inf, 1e300) or a window that renders as "+0" (1e-9).
+TEST(FaultPlanTest, RejectsNumbersThatCannotBecomeAWindow) {
+  struct Case {
+    const char* spec;
+    const char* expected_position;
+    const char* expected_token;
+  };
+  const Case cases[] = {
+      {"outage@nan+1", "line 1, col 8", "'nan'"},
+      {"outage@0+inf", "line 1, col 10", "'inf'"},
+      {"outage@1e300+1", "line 1, col 8", "'1e300'"},
+      {"outage@0+1e-9", "line 1, col 10", "'1e-9'"},
+      {"outage@999999999+2", "line 1, col 18", "'2'"},
+      {"gauge@0+1=inf", "line 1, col 11", "'inf'"},
+      {"loss@0+1=nan", "line 1, col 10", "'nan'"},
+  };
+  for (const Case& c : cases) {
+    std::string error = ParseError(c.spec);
+    EXPECT_NE(error.find(c.expected_position), std::string::npos)
+        << c.spec << " -> " << error;
+    EXPECT_NE(error.find(c.expected_token), std::string::npos)
+        << c.spec << " -> " << error;
+  }
+  // The bounds themselves are windows.
+  EXPECT_EQ(MustParse("outage@0+0.000001").events[0].duration.micros(), 1);
+  EXPECT_EQ(MustParse("outage@999999999+1").ToString(), "outage@999999999+1");
+}
+
+// Canonical rendering is exact: a number %g would cut to six significant
+// digits keeps as many as it needs to read back to the same value.
+TEST(FaultPlanTest, RenderingKeepsEveryDigitThatMatters) {
+  FaultPlan plan = MustParse("outage@12345.25+1;gauge@0+60=1.0000001");
+  EXPECT_EQ(plan.ToString(), "outage@12345.25+1;gauge@0+60=1.0000001");
+  FaultPlan reparsed = MustParse(plan.ToString());
+  ASSERT_EQ(reparsed.events.size(), 2u);
+  EXPECT_EQ(reparsed.events[0].at, odsim::SimDuration::Micros(12345250000));
+  EXPECT_EQ(reparsed.events[1].magnitude, 1.0000001);
+  // Values %g already spells exactly keep their short spelling.
+  EXPECT_EQ(MustParse("loss@0.5+1.25=0.05").ToString(), "loss@0.5+1.25=0.05");
+}
+
+TEST(FaultPlanTest, CommentsRunToTheEndOfTheLine) {
+  FaultPlan plan = MustParse(
+      "# the storm\n"
+      "outage@0+1  # tunnel; loss@1+1 is commented out\n"
+      "disk@4+1=2");
+  EXPECT_EQ(plan.ToString(), "outage@0+1;disk@4+1=2");
+}
+
+// The "name:" tag belongs to scenarios; a plan rejects it as an unknown
+// kind at the tag's position.
+TEST(FaultPlanTest, RejectsTheScenarioNameTag) {
+  std::string error = ParseError("storm: outage@0+1");
+  EXPECT_NE(error.find("line 1, col 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("'storm: outage'"), std::string::npos) << error;
+}
+
 TEST(FaultPlanTest, KindNamesMatchTheGrammar) {
   EXPECT_STREQ(FaultKindName(FaultKind::kBandwidth), "bandwidth");
   EXPECT_STREQ(FaultKindName(FaultKind::kOutage), "outage");

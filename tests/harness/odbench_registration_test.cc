@@ -1,5 +1,5 @@
 // Links the odbench_experiments object library, so the registry here holds
-// exactly the experiments the odbench binary ships: all 31 of them.
+// exactly the experiments the odbench binary ships: all 30 of them.
 
 #include <string>
 #include <vector>
@@ -21,13 +21,12 @@ const char* const kExpected[] = {
     "fig20_goal_summary", "fig21_halflife",    "fig22_longrun",
     "fleet_small",        "fleet_sweep",       "gauge_drift_sweep",
     "goal_fault_sweep",   "goalprobe",         "learned_model_sweep",
-    "lifetime",           "micro_overhead",    "scenario_sweep",
-    "simspeed",
+    "lifetime",           "scenario_sweep",    "simspeed",
 };
 
 TEST(OdbenchRegistrationTest, AllThirtyExperimentsRegistered) {
   auto& registry = ExperimentRegistry::Instance();
-  EXPECT_EQ(registry.size(), 31u);
+  EXPECT_EQ(registry.size(), 30u);
   for (const char* name : kExpected) {
     EXPECT_NE(registry.Find(name), nullptr) << name;
   }

@@ -119,6 +119,64 @@ TEST(ScenarioGrammar, RejectsMalformedSpecsWithPosition) {
   }
 }
 
+// Minimized regressions: numbers that cannot become an exact SimTime window
+// are rejected with a position, like their fault-plan twins.
+TEST(ScenarioGrammar, RejectsNumbersThatCannotBecomeAWindow) {
+  struct Case {
+    const char* spec;
+    const char* expected_position;
+    const char* expected_token;
+  };
+  const std::vector<Case> cases = {
+      {"web@nan+60", "line 1, col 5", "'nan'"},
+      {"web@0+inf", "line 1, col 7", "'inf'"},
+      {"web@1e300+60", "line 1, col 5", "'1e300'"},
+      {"web@0+1e-9", "line 1, col 7", "'1e-9'"},
+      {"web@0+1=inf", "line 1, col 9", "'inf'"},
+      {"day: sync@0+60=nan", "line 1, col 16", "'nan'"},
+  };
+  for (const Case& c : cases) {
+    std::string error = ParseError(c.spec);
+    EXPECT_NE(error.find(c.expected_position), std::string::npos)
+        << c.spec << " -> " << error;
+    EXPECT_NE(error.find(c.expected_token), std::string::npos)
+        << c.spec << " -> " << error;
+  }
+}
+
+TEST(ScenarioGrammar, RenderingIsExact) {
+  Scenario scenario = MustParse("web@3600.125+60;sync@0+90=33.3333333");
+  EXPECT_EQ(scenario.ToString(), "web@3600.125+60=5;sync@0+90=33.3333333");
+  Scenario reparsed = MustParse(scenario.ToString());
+  ASSERT_EQ(reparsed.phases.size(), 2u);
+  EXPECT_EQ(reparsed.phases[0].at, odsim::SimDuration::Micros(3600125000));
+  EXPECT_EQ(reparsed.phases[1].param, 33.3333333);
+  // A builder param no decimal spelling matches still replays exactly.
+  Scenario built = ScenarioBuilder().Sync(0, 60, 100.0 / 3.0).Build();
+  EXPECT_EQ(MustParse(built.ToString()).phases[0].param, 100.0 / 3.0);
+}
+
+// A bare tag names an empty scenario; it keeps the name on the way back.
+TEST(ScenarioGrammar, NamedEmptyScenarioReplays) {
+  Scenario scenario = MustParse("day:");
+  EXPECT_EQ(scenario.name, "day");
+  EXPECT_TRUE(scenario.empty());
+  EXPECT_EQ(scenario.ToString(), "day:");
+  EXPECT_EQ(MustParse(scenario.ToString()).name, "day");
+}
+
+TEST(ScenarioGrammar, KindNamesMatchTheGrammar) {
+  EXPECT_STREQ(odscenario::PhaseKindName(PhaseKind::kVideo), "video");
+  EXPECT_STREQ(odscenario::PhaseKindName(PhaseKind::kWeb), "web");
+  EXPECT_STREQ(odscenario::PhaseKindName(PhaseKind::kMap), "map");
+  EXPECT_STREQ(odscenario::PhaseKindName(PhaseKind::kSpeech), "speech");
+  EXPECT_STREQ(odscenario::PhaseKindName(PhaseKind::kComposite), "composite");
+  EXPECT_STREQ(odscenario::PhaseKindName(PhaseKind::kBurst), "burst");
+  EXPECT_STREQ(odscenario::PhaseKindName(PhaseKind::kSync), "sync");
+  EXPECT_STREQ(odscenario::PhaseKindName(PhaseKind::kIdle), "idle");
+  EXPECT_STREQ(odscenario::PhaseKindName(PhaseKind::kGap), "gap");
+}
+
 TEST(ScenarioEnvironment, GapsBecomeMatchedFaultWindows) {
   const Scenario* commuter = odscenario::FindScenario("commuter_day");
   ASSERT_NE(commuter, nullptr);
