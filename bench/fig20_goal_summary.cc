@@ -13,10 +13,9 @@
 
 using namespace odapps;
 
-ODBENCH_EXPERIMENT_COST(fig20_goal_summary,
-                        "Figure 20: goal-directed adaptation summary across "
-                        "1200-1560 s goals",
-                        300) {
+ODBENCH_EXPERIMENT(fig20_goal_summary,
+                   "Figure 20: goal-directed adaptation summary across "
+                   "1200-1560 s goals") {
   odfault::FaultPlan plan = odbench::PlanFromContext(ctx);
   if (!plan.empty()) {
     std::printf("Disturbance plan: %s\n", plan.ToString().c_str());

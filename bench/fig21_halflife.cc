@@ -11,10 +11,9 @@
 
 using namespace odapps;
 
-ODBENCH_EXPERIMENT_COST(fig21_halflife,
-                        "Figure 21: sensitivity to the smoothing half-life "
-                        "(1-15% of time remaining)",
-                        250) {
+ODBENCH_EXPERIMENT(fig21_halflife,
+                   "Figure 21: sensitivity to the smoothing half-life "
+                   "(1-15% of time remaining)") {
   odfault::FaultPlan plan = odbench::PlanFromContext(ctx);
   if (!plan.empty()) {
     std::printf("Disturbance plan: %s\n", plan.ToString().c_str());

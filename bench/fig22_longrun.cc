@@ -11,10 +11,9 @@
 
 using namespace odapps;
 
-ODBENCH_EXPERIMENT_COST(fig22_longrun,
-                        "Figure 22: longer-duration goal-directed adaptation "
-                        "(bursty workload, goal extension)",
-                        400) {
+ODBENCH_EXPERIMENT(fig22_longrun,
+                   "Figure 22: longer-duration goal-directed adaptation "
+                   "(bursty workload, goal extension)") {
   odfault::FaultPlan plan = odbench::PlanFromContext(ctx);
   if (!plan.empty()) {
     std::printf("Disturbance plan: %s\n", plan.ToString().c_str());

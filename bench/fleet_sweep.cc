@@ -90,10 +90,9 @@ std::string CellLabel(int clients, bool cache_on) {
 
 }  // namespace
 
-ODBENCH_EXPERIMENT_COST(fleet_sweep,
-                        "Fleet sweep: goal attainment vs client count, "
-                        "shared service, cache on/off",
-                        2000) {
+ODBENCH_EXPERIMENT(fleet_sweep,
+                   "Fleet sweep: goal attainment vs client count, "
+                   "shared service, cache on/off") {
   odfault::FaultPlan plan = odbench::PlanFromContext(ctx);
   if (!ValidateFleetPlan(plan)) {
     return 64;

@@ -78,10 +78,9 @@ odharness::TrialSample DriftCell(const GoalScenarioOptions& options) {
 
 }  // namespace
 
-ODBENCH_EXPERIMENT_COST(gauge_drift_sweep,
-                        "Residual-estimate error vs gauge-drift magnitude, "
-                        "with and without the drift sentinel",
-                        600) {
+ODBENCH_EXPERIMENT(gauge_drift_sweep,
+                   "Residual-estimate error vs gauge-drift magnitude, "
+                   "with and without the drift sentinel") {
   // Fault windows sit inside the goal with slack after them, so recovery
   // is part of the record.  800 s at 1.2x is a ~1,600 J raw bias; the
   // 1.2x step exceeds max_plausible_watts only at workload peaks, so most

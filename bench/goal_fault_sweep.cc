@@ -34,10 +34,9 @@ struct Rung {
 
 }  // namespace
 
-ODBENCH_EXPERIMENT_COST(goal_fault_sweep,
-                        "Goal attainment under fault plans of increasing "
-                        "severity, including telemetry faults",
-                        500) {
+ODBENCH_EXPERIMENT(goal_fault_sweep,
+                   "Goal attainment under fault plans of increasing "
+                   "severity, including telemetry faults") {
   // Severity ladder: clean baseline, the five environment kinds, the four
   // telemetry kinds, then two storms.  Every window sits inside the 1320 s
   // goal with slack after it, so safe-mode recovery is part of the record.

@@ -70,11 +70,10 @@ odharness::TrialSample LearnedCell(const GoalScenarioOptions& options) {
 
 }  // namespace
 
-ODBENCH_EXPERIMENT_COST(learned_model_sweep,
-                        "Self-constructive power model: coefficient recovery "
-                        "from the gauge stream, plus the calibration-withheld "
-                        "deployment",
-                        300) {
+ODBENCH_EXPERIMENT(learned_model_sweep,
+                   "Self-constructive power model: coefficient recovery "
+                   "from the gauge stream, plus the calibration-withheld "
+                   "deployment") {
   const double initial_joules = 13500.0;
   const double goal_seconds = 1320.0;
 

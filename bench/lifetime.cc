@@ -10,10 +10,9 @@
 
 using namespace odapps;
 
-ODBENCH_EXPERIMENT_COST(lifetime,
-                        "Untethered lifetime of the Section 5 workload pinned "
-                        "at highest vs lowest fidelity",
-                        60) {
+ODBENCH_EXPERIMENT(lifetime,
+                   "Untethered lifetime of the Section 5 workload pinned "
+                   "at highest vs lowest fidelity") {
   odfault::FaultPlan plan = odbench::PlanFromContext(ctx);
   if (!plan.empty()) {
     std::printf("Disturbance plan: %s\n", plan.ToString().c_str());

@@ -42,6 +42,7 @@
 
 #include "src/apps/calibration.h"
 #include "src/fault/fault_plan.h"
+#include "src/fault/window_spec.h"
 #include "src/harness/artifact_diff.h"
 #include "src/harness/flags.h"
 #include "src/harness/registry.h"
@@ -103,13 +104,10 @@ int DiffTraces(const odharness::Flags& flags, const char* prog) {
     return Usage(prog);
   }
   odtrace::TraceDiffOptions options;
-  options.rtol = flags.GetDouble("rtol", 0.0);
-  options.atol = flags.GetDouble("atol", 0.0);
-  const double max_shift_seconds = flags.GetDouble("max-shift", 0.0);
-  if (max_shift_seconds < 0) {
-    std::fprintf(stderr, "odbench: --max-shift must be >= 0\n");
-    return Usage(prog);
-  }
+  options.rtol = flags.GetNonNegativeDouble("rtol", 0.0);
+  options.atol = flags.GetNonNegativeDouble("atol", 0.0);
+  const double max_shift_seconds = flags.GetNonNegativeDouble(
+      "max-shift", 0.0, odfault::kMaxWindowEnd.seconds());
   options.max_shift_us = static_cast<int64_t>(max_shift_seconds * 1e6);
 
   auto read = [](const std::string& path)
@@ -145,8 +143,8 @@ int Diff(const odharness::Flags& flags, const char* prog) {
     return Usage(prog);
   }
   odharness::DiffOptions options;
-  options.rtol = flags.GetDouble("rtol", 0.0);
-  options.atol = flags.GetDouble("atol", 0.0);
+  options.rtol = flags.GetNonNegativeDouble("rtol", 0.0);
+  options.atol = flags.GetNonNegativeDouble("atol", 0.0);
 
   auto read = [](const std::string& path)
       -> std::optional<odharness::RunArtifact> {
@@ -212,12 +210,8 @@ int Main(int argc, char** argv) {
   options.out_dir = flags.GetString("out", "artifacts");
   options.compact_artifacts = flags.Has("compact");
   options.trace = flags.Has("trace");
-  options.experiment_timeout_seconds =
-      flags.GetDouble("experiment-timeout", 0.0);
-  if (options.experiment_timeout_seconds < 0) {
-    std::fprintf(stderr, "odbench: --experiment-timeout must be >= 0\n");
-    return Usage(argv[0]);
-  }
+  options.experiment_timeout_seconds = flags.GetNonNegativeDouble(
+      "experiment-timeout", 0.0, odfault::kMaxWindowEnd.seconds());
   options.fault_plan = flags.GetString("fault-plan", "");
   if (!options.fault_plan.empty()) {
     odfault::FaultPlan plan;

@@ -46,10 +46,9 @@ constexpr double kBudgetWattsAllowance = 9.5;
 
 }  // namespace
 
-ODBENCH_EXPERIMENT_COST(scenario_sweep,
-                        "Goal attainment across the named user-behavior "
-                        "scenarios, with run-level invariant checks",
-                        400) {
+ODBENCH_EXPERIMENT(scenario_sweep,
+                   "Goal attainment across the named user-behavior "
+                   "scenarios, with run-level invariant checks") {
   std::vector<odscenario::Scenario> scenarios = odscenario::ScenarioLibrary();
   if (!ctx.options().scenario.empty()) {
     const odscenario::Scenario* found =

@@ -146,9 +146,8 @@ struct FleetDeviceResult {
 struct FleetResult {
   int clients = 0;
   double elapsed_seconds = 0.0;
-  // Simulator events dispatched over the whole scenario (including settle):
-  // the fleet-shaped cell of `odbench run simspeed` divides this by wall
-  // time to track sim-core throughput.
+  // Simulator events dispatched over the whole scenario (including settle);
+  // the fleet-shaped cell of `odbench run simspeed` records it exactly.
   uint64_t events_processed = 0;
 
   // -- Fleet-side aggregates --------------------------------------------------

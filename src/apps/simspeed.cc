@@ -1,7 +1,6 @@
 #include "src/apps/simspeed.h"
 
 #include <bit>
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -26,11 +25,6 @@ uint64_t FnvMix(uint64_t hash, uint64_t value) {
 
 uint32_t Fold32(uint64_t hash) {
   return static_cast<uint32_t>(hash ^ (hash >> 32));
-}
-
-double WallSecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
 }
 
 }  // namespace
@@ -68,11 +62,9 @@ SimspeedCell RunQueueChurnCell(uint64_t seed) {
                  [&tick, i] { tick(i); });
   }
 
-  auto start = std::chrono::steady_clock::now();
   sim.RunUntil(odsim::SimTime::Zero() + kHorizon);
 
   SimspeedCell cell;
-  cell.wall_seconds = WallSecondsSince(start);
   cell.events = sim.events_processed();
   cell.sim_seconds = sim.Now().seconds();
   cell.checksum = Fold32(FnvMix(FnvMix(hash, cell.events), deadline_fires));
@@ -115,14 +107,12 @@ SimspeedCell RunMonitorGridCell(uint64_t seed) {
                  [&toggle, i] { toggle(i); });
   }
 
-  auto start = std::chrono::steady_clock::now();
   sim.RunUntil(odsim::SimTime::Zero() + kHorizon);
   for (Device& d : devices) {
     d.monitor->Stop();
   }
 
   SimspeedCell cell;
-  cell.wall_seconds = WallSecondsSince(start);
   cell.events = sim.events_processed();
   cell.sim_seconds = sim.Now().seconds();
   uint64_t hash = 1469598103934665603ULL;
@@ -139,11 +129,9 @@ SimspeedCell RunFleetShapedCell(uint64_t seed, int clients) {
   options.seed = seed;
   options.service.cache_capacity = 512;
 
-  auto start = std::chrono::steady_clock::now();
   FleetResult result = RunFleetScenario(options);
 
   SimspeedCell cell;
-  cell.wall_seconds = WallSecondsSince(start);
   cell.events = result.events_processed;
   cell.sim_seconds = result.elapsed_seconds;
   uint64_t hash = 1469598103934665603ULL;

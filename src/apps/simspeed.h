@@ -1,16 +1,12 @@
-// Simulator-core speed workloads.
+// Simulator-core workloads.
 //
 // Fleet scale (src/apps/fleet.h) multiplies event counts by orders of
 // magnitude, making the event queue, the power integrator, and callback
 // dispatch the hot path.  These cells are the fixed, seeded workloads behind
-// `odbench run simspeed`: each returns the deterministic facts (event count,
-// simulated seconds, a workload checksum) plus the measured wall time, from
-// which the experiment derives events/sec and sim-seconds-per-wall-second.
-//
-// Everything except `wall_seconds` must be byte-identical for a fixed seed,
-// on any machine, at any --jobs: the checksum is the determinism signature a
-// regression test replays, and the wall-derived rates are what the committed
-// BENCH_simspeed.json trajectory tracks across PRs.
+// `odbench run simspeed`: each returns its deterministic facts (event count,
+// simulated seconds, a workload checksum), byte-identical for a fixed seed
+// on any machine and at any --jobs.  The committed simspeed golden gates
+// them exactly; host speed per layer is odperf's record, not these cells'.
 
 #ifndef SRC_APPS_SIMSPEED_H_
 #define SRC_APPS_SIMSPEED_H_
@@ -20,13 +16,9 @@
 namespace odapps {
 
 struct SimspeedCell {
-  // Deterministic for a fixed seed.
   uint64_t events = 0;        // Simulator events dispatched.
   double sim_seconds = 0.0;   // Simulated time covered.
   uint32_t checksum = 0;      // Folded FNV-1a signature of the replay.
-  // Measured; never recorded in artifacts (it would break --jobs
-  // byte-identity), only in the BENCH trajectory and on stdout.
-  double wall_seconds = 0.0;
 };
 
 // Pure event-queue churn: 512 self-rescheduling timers with seeded jitter,

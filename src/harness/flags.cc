@@ -2,7 +2,10 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace odharness {
 
@@ -16,6 +19,20 @@ bool IsFlagToken(const std::string& token) {
                                 const std::string& value) {
   throw FlagError("invalid " + std::string(kind) + " for --" + name + ": '" +
                   value + "'");
+}
+
+// `lower` is the lower-bound clause ("> 0", ">= 0"); `max` is named only
+// when the caller set one.
+[[noreturn]] void ThrowOutOfRange(const std::string& name,
+                                  const std::string& value,
+                                  const char* lower, double max) {
+  std::string message = "--" + name + " must be " + lower;
+  if (max < std::numeric_limits<double>::max()) {
+    char bound[32];
+    std::snprintf(bound, sizeof(bound), " and <= %g", max);
+    message += bound;
+  }
+  throw FlagError(message + ": '" + value + "'");
 }
 
 }  // namespace
@@ -104,8 +121,29 @@ double Flags::GetDouble(const std::string& name, double fallback) const {
   errno = 0;
   char* end = nullptr;
   double parsed = std::strtod(value->c_str(), &end);
-  if (errno != 0 || end != value->c_str() + value->size()) {
+  if (errno != 0 || end != value->c_str() + value->size() ||
+      !std::isfinite(parsed)) {
     ThrowBadValue("number", name, *value);
+  }
+  return parsed;
+}
+
+double Flags::GetNonNegativeDouble(const std::string& name, double fallback,
+                                   double max) const {
+  const double parsed = GetDouble(name, fallback);
+  const std::string* value = RawValue(name);
+  if (value != nullptr && !(parsed >= 0.0 && parsed <= max)) {
+    ThrowOutOfRange(name, *value, ">= 0", max);
+  }
+  return parsed;
+}
+
+double Flags::GetPositiveDouble(const std::string& name, double fallback,
+                                double max) const {
+  const double parsed = GetDouble(name, fallback);
+  const std::string* value = RawValue(name);
+  if (value != nullptr && !(parsed > 0.0 && parsed <= max)) {
+    ThrowOutOfRange(name, *value, "> 0", max);
   }
   return parsed;
 }

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -41,11 +42,21 @@ class Flags {
 
   // Value of `--name value` or `--name=value`; `fallback` when absent.
   // The numeric forms parse the full token strictly and throw FlagError on
-  // trailing garbage, overflow, or an empty value.
+  // trailing garbage, overflow, or an empty value; GetDouble also rejects
+  // nan and inf.
   std::string GetString(const std::string& name, std::string fallback) const;
   double GetDouble(const std::string& name, double fallback) const;
   int GetInt(const std::string& name, int fallback) const;
   uint64_t GetUint64(const std::string& name, uint64_t fallback) const;
+
+  // GetDouble restricted to [0, max] and (0, max] respectively; a value
+  // outside the range throws FlagError.  The fallback is not checked.
+  double GetNonNegativeDouble(
+      const std::string& name, double fallback,
+      double max = std::numeric_limits<double>::max()) const;
+  double GetPositiveDouble(
+      const std::string& name, double fallback,
+      double max = std::numeric_limits<double>::max()) const;
 
   // Verifies that every `--flag` present is a declared one: `value_flags`
   // must carry a value, `bool_flags` must not.  On failure fills *error

@@ -109,11 +109,14 @@ class Parser {
       return std::nullopt;
     }
     char c = text_[pos_];
-    if (c == '{') {
-      return ParseObject();
-    }
-    if (c == '[') {
-      return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ == JsonValue::kMaxParseDepth) {
+        return std::nullopt;
+      }
+      ++depth_;
+      std::optional<JsonValue> nested = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return nested;
     }
     if (c == '"') {
       std::optional<std::string> s = ParseString();
@@ -289,6 +292,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // Arrays and objects currently open.
 };
 
 }  // namespace

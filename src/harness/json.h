@@ -69,8 +69,11 @@ class JsonValue {
   // per nesting level; indent == 0 emits a compact single line.
   std::string Dump(int indent = 0) const;
 
-  // Parses a JSON document.  Returns nullopt on malformed input or trailing
-  // garbage.
+  // Parses a JSON document.  Returns nullopt on malformed input, trailing
+  // garbage, or arrays/objects nested deeper than kMaxParseDepth (the
+  // parser recurses once per level, so unbounded nesting would overflow
+  // the stack; committed artifacts nest fewer than 10 deep).
+  static constexpr int kMaxParseDepth = 256;
   static std::optional<JsonValue> Parse(std::string_view text);
 
  private:

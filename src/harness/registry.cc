@@ -103,9 +103,8 @@ std::vector<const Experiment*> ExperimentRegistry::List() const {
 }
 
 Registrar::Registrar(const char* name, const char* description,
-                     int (*run)(RunContext&), double cost_hint) {
-  ExperimentRegistry::Instance().Register(
-      Experiment{name, description, run, cost_hint});
+                     int (*run)(RunContext&)) {
+  ExperimentRegistry::Instance().Register(Experiment{name, description, run});
 }
 
 }  // namespace odharness

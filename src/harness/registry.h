@@ -110,11 +110,6 @@ struct Experiment {
   std::string name;
   std::string description;
   int (*run)(RunContext&) = nullptr;
-  // Relative serial cost (roughly milliseconds on the reference machine).
-  // The run-all scheduler starts expensive experiments first so the long
-  // pole overlaps the short tail.  Purely a scheduling hint: results and
-  // output order never depend on it.
-  double cost_hint = 10.0;
 };
 
 class ExperimentRegistry {
@@ -143,8 +138,8 @@ class ExperimentRegistry {
 
 // Static-initialization helper behind ODBENCH_EXPERIMENT.
 struct Registrar {
-  Registrar(const char* name, const char* description, int (*run)(RunContext&),
-            double cost_hint = 10.0);
+  Registrar(const char* name, const char* description,
+            int (*run)(RunContext&));
 };
 
 }  // namespace odharness
@@ -155,14 +150,6 @@ struct Registrar {
   static int OdbenchRun_##id(::odharness::RunContext& ctx);            \
   static const ::odharness::Registrar odbench_registrar_##id{          \
       #id, description, &OdbenchRun_##id};                             \
-  static int OdbenchRun_##id([[maybe_unused]] ::odharness::RunContext& ctx)
-
-// As above, with a cost hint for the run-all scheduler (see
-// Experiment::cost_hint); use for experiments much slower than the rest.
-#define ODBENCH_EXPERIMENT_COST(id, description, cost)                 \
-  static int OdbenchRun_##id(::odharness::RunContext& ctx);            \
-  static const ::odharness::Registrar odbench_registrar_##id{          \
-      #id, description, &OdbenchRun_##id, cost};                       \
   static int OdbenchRun_##id([[maybe_unused]] ::odharness::RunContext& ctx)
 
 #endif  // SRC_HARNESS_REGISTRY_H_

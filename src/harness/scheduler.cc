@@ -127,21 +127,10 @@ int RunExperiments(const std::vector<const Experiment*>& experiments,
   }
   JobBudget::Global().ConfigurePipe(fds[0], fds[1]);
 
-  // Start order: most expensive first so simspeed/fleet_sweep overlap
-  // the short tail.  Purely a scheduling choice — output replay
-  // and artifacts follow the caller's (registry) order.
-  std::vector<size_t> queue(n);
-  for (size_t i = 0; i < n; ++i) {
-    queue[i] = i;
-  }
-  std::stable_sort(queue.begin(), queue.end(), [&](size_t a, size_t b) {
-    return experiments[a]->cost_hint > experiments[b]->cost_hint;
-  });
-
   std::vector<int> rcs(n, 0);
   std::vector<bool> done(n, false);
   std::map<pid_t, size_t> running;
-  size_t next_in_queue = 0;
+  size_t next_to_start = 0;
   size_t next_to_print = 0;
   int worst = 0;
 
@@ -190,7 +179,7 @@ int RunExperiments(const std::vector<const Experiment*>& experiments,
     flush_done();
   };
 
-  while (next_in_queue < n || !running.empty()) {
+  while (next_to_start < n || !running.empty()) {
     bool progressed = false;
 
     // Reap any finished children, returning their main-thread tokens.
@@ -258,8 +247,8 @@ int RunExperiments(const std::vector<const Experiment*>& experiments,
     }
 
     // Launch further experiments while worker tokens are free.
-    while (next_in_queue < n && JobBudget::Global().TryAcquire()) {
-      const size_t index = queue[next_in_queue++];
+    while (next_to_start < n && JobBudget::Global().TryAcquire()) {
+      const size_t index = next_to_start++;
       progressed = true;
       // Flush before forking: the child inherits stdio buffers and shares
       // our file offsets, so any pending bytes would be written twice.
@@ -287,11 +276,11 @@ int RunExperiments(const std::vector<const Experiment*>& experiments,
     }
 
     if (!progressed) {
-      if (running.empty() && next_in_queue < n) {
+      if (running.empty() && next_to_start < n) {
         // No child is running and no token surfaced — tokens were lost
         // (a crashed child takes its helpers' tokens with it).  Degrade to
         // inline execution rather than spinning forever.
-        run_inline(queue[next_in_queue++]);
+        run_inline(next_to_start++);
         continue;
       }
       // Tokens are all in flight inside children; wait for movement.

@@ -6,9 +6,8 @@
 // artifacts.
 //
 // RunExperiments runs a whole suite.  With --jobs > 1 (on POSIX) it forks
-// one child per experiment, scheduling expensive experiments first (see
-// Experiment::cost_hint) so the long pole overlaps the short tail, and
-// bounds *total* concurrency — child processes plus every trial/sweep
+// one child per experiment, starting them in registry order, and bounds
+// *total* concurrency — child processes plus every trial/sweep
 // helper thread inside them — with one jobserver pipe shared through
 // JobBudget: a child's main thread costs one token (held by the parent for
 // the child's lifetime) and each helper thread inside any child costs one

@@ -63,8 +63,8 @@ class Simulator {
   void Stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
-  // Events dispatched by Run()/RunUntil() since construction.  The simspeed
-  // benchmark divides this by wall time to track simulator throughput.
+  // Events dispatched by Run()/RunUntil() since construction: deterministic
+  // for a fixed seed, so the simspeed golden and odperf signatures gate it.
   uint64_t events_processed() const { return events_processed_; }
 
   // -- CPU -------------------------------------------------------------------

@@ -112,6 +112,65 @@ TEST(FlagsTest, GetDoubleRejectsGarbage) {
                    22.5);
 }
 
+// Regression: strtod accepts "nan" and "inf", which then reached
+// SimDuration casts (OD_CHECK aborts, float-cast-overflow UB) or silently
+// disabled the run-all watchdog.
+TEST(FlagsTest, GetDoubleRejectsNonFinite) {
+  for (const char* bad : {"nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                          "1e400", "-1e400"}) {
+    EXPECT_THROW(Flags({"--minutes", bad}).GetDouble("minutes", 1.0),
+                 FlagError)
+        << bad;
+  }
+  EXPECT_DOUBLE_EQ(Flags({"--minutes", "-5"}).GetDouble("minutes", 1.0), -5.0);
+}
+
+TEST(FlagsTest, GetNonNegativeDoubleEnforcesItsRange) {
+  EXPECT_THROW(Flags({"--rtol", "-1e-9"}).GetNonNegativeDouble("rtol", 0.0),
+               FlagError);
+  EXPECT_THROW(Flags({"--rtol", "nan"}).GetNonNegativeDouble("rtol", 0.0),
+               FlagError);
+  EXPECT_DOUBLE_EQ(Flags({"--rtol", "0"}).GetNonNegativeDouble("rtol", 1.0),
+                   0.0);
+  EXPECT_DOUBLE_EQ(
+      Flags({"--max-shift", "1e9"}).GetNonNegativeDouble("max-shift", 0.0, 1e9),
+      1e9);
+  EXPECT_THROW(
+      Flags({"--max-shift", "1.5e9"}).GetNonNegativeDouble("max-shift", 0.0,
+                                                           1e9),
+      FlagError);
+  EXPECT_DOUBLE_EQ(Flags({}).GetNonNegativeDouble("rtol", 0.25), 0.25);
+}
+
+TEST(FlagsTest, GetPositiveDoubleEnforcesItsRange) {
+  for (const char* bad : {"0", "-0", "-5", "nan", "inf"}) {
+    EXPECT_THROW(Flags({"--minutes", bad}).GetPositiveDouble("minutes", 22.0),
+                 FlagError)
+        << bad;
+  }
+  EXPECT_THROW(
+      Flags({"--minutes", "2e7"}).GetPositiveDouble("minutes", 22.0, 1e7),
+      FlagError);
+  EXPECT_DOUBLE_EQ(
+      Flags({"--minutes", "0.5"}).GetPositiveDouble("minutes", 22.0, 1e7), 0.5);
+  EXPECT_DOUBLE_EQ(Flags({"--lowest"}).GetPositiveDouble("lowest", 3.0), 3.0);
+}
+
+TEST(FlagsTest, RangeErrorsNameTheFlagAndTheBound) {
+  try {
+    Flags({"--max-shift", "2e9"}).GetNonNegativeDouble("max-shift", 0.0, 1e9);
+    FAIL() << "expected FlagError";
+  } catch (const FlagError& e) {
+    EXPECT_STREQ(e.what(), "--max-shift must be >= 0 and <= 1e+09: '2e9'");
+  }
+  try {
+    Flags({"--joules", "-1"}).GetPositiveDouble("joules", 1.0);
+    FAIL() << "expected FlagError";
+  } catch (const FlagError& e) {
+    EXPECT_STREQ(e.what(), "--joules must be > 0: '-1'");
+  }
+}
+
 TEST(FlagsTest, GetUint64RejectsGarbageAndNegatives) {
   EXPECT_THROW(Flags({"--seed", "xyz"}).GetUint64("seed", 1), FlagError);
   EXPECT_THROW(Flags({"--seed", "-3"}).GetUint64("seed", 1), FlagError);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace odharness {
 namespace {
 
@@ -74,6 +76,42 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(JsonValue::Parse("{\"a\" 1}").has_value());
   EXPECT_FALSE(JsonValue::Parse("1 trailing").has_value());
   EXPECT_FALSE(JsonValue::Parse("nul").has_value());
+}
+
+// A deeply nested document used to overflow the recursive parser's stack
+// and segfault every reader (odbench diff, --traces, artifact replay).
+TEST(JsonTest, ParseRejectsNestingPastTheCapWithoutCrashing) {
+  EXPECT_FALSE(JsonValue::Parse(std::string(1000000, '[')).has_value());
+  EXPECT_FALSE(JsonValue::Parse(std::string(1000000, '[') +
+                                std::string(1000000, ']'))
+                   .has_value());
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) {
+    objects += "{\"a\":";
+  }
+  EXPECT_FALSE(JsonValue::Parse(objects).has_value());
+}
+
+TEST(JsonTest, ParseAcceptsNestingUpToTheCap) {
+  const size_t cap = JsonValue::kMaxParseDepth;
+  std::string at_cap = std::string(cap, '[') + std::string(cap, ']');
+  auto parsed = JsonValue::Parse(at_cap);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->Dump(), at_cap);
+  EXPECT_FALSE(JsonValue::Parse(std::string(cap + 1, '[') +
+                                std::string(cap + 1, ']'))
+                   .has_value());
+  // Objects and arrays count against the same cap.
+  std::string mixed;
+  for (size_t i = 0; i < cap / 2; ++i) {
+    mixed += "{\"k\":[";
+  }
+  mixed += "1";
+  for (size_t i = 0; i < cap / 2; ++i) {
+    mixed += "]}";
+  }
+  EXPECT_TRUE(JsonValue::Parse(mixed).has_value());
+  EXPECT_FALSE(JsonValue::Parse("[" + mixed + "]").has_value());
 }
 
 TEST(JsonTest, PrettyPrintRoundTrips) {

@@ -43,9 +43,9 @@ TEST(OdbenchDeterminismTest, AblateCpuScalingArtifactIndependentOfJobs) {
 }
 
 // The simspeed artifact records only the deterministic facts of each cell
-// (event count, simulated seconds, workload checksum); the wall-derived
-// rates live in the side BENCH file.  The artifact must therefore be
-// byte-identical regardless of --jobs.
+// (event count, simulated seconds, workload checksum), and no wall-clock
+// quantity.  The artifact must therefore be byte-identical regardless of
+// --jobs.
 TEST(OdbenchDeterminismTest, SimspeedArtifactIndependentOfJobs) {
   EXPECT_EQ(ArtifactBytes("simspeed", 1), ArtifactBytes("simspeed", 8));
 }

@@ -38,9 +38,9 @@ int RunGamma(RunContext& ctx) {
   return 0;
 }
 
-const Experiment kAlpha{"alpha", "alpha experiment", &RunAlpha, 5.0};
-const Experiment kBeta{"beta", "beta experiment", &RunBeta, 50.0};
-const Experiment kGamma{"gamma", "gamma experiment", &RunGamma, 1.0};
+const Experiment kAlpha{"alpha", "alpha experiment", &RunAlpha};
+const Experiment kBeta{"beta", "beta experiment", &RunBeta};
+const Experiment kGamma{"gamma", "gamma experiment", &RunGamma};
 
 #ifndef _WIN32
 // Sleeps far past any timeout the watchdog tests configure; only ever runs
@@ -49,7 +49,7 @@ int RunSleeper(RunContext&) {
   ::usleep(30'000'000);
   return 0;
 }
-const Experiment kSleeper{"sleeper", "sleeps until killed", &RunSleeper, 99.0};
+const Experiment kSleeper{"sleeper", "sleeps until killed", &RunSleeper};
 #endif
 
 std::string Slurp(const std::string& path) {

@@ -24,6 +24,11 @@
 
 namespace {
 
+// Longest simulated span a flag may name: 1e9 s keeps every simulated time
+// an exact int64 microsecond count.
+constexpr double kMaxSeconds = 1e9;
+constexpr double kMaxMinutes = kMaxSeconds / 60.0;
+
 int PowerTable() {
   odsim::Simulator sim;
   auto laptop = odpower::MakeThinkPad560X(&sim);
@@ -44,7 +49,7 @@ int PowerTable() {
 }
 
 int Profile(const odharness::Flags& flags) {
-  double seconds = flags.GetDouble("seconds", 60.0);
+  double seconds = flags.GetPositiveDouble("seconds", 60.0, kMaxSeconds);
   odapps::TestBed bed;
   odscope::Profiler profiler(&bed.sim(), &bed.laptop().machine());
   profiler.Start();
@@ -63,7 +68,7 @@ int Profile(const odharness::Flags& flags) {
 }
 
 int Lifetime(const odharness::Flags& flags) {
-  double joules = flags.GetDouble("joules", 13500.0);
+  double joules = flags.GetPositiveDouble("joules", 13500.0);
   bool lowest = flags.Has("lowest");
   double seconds = odapps::MeasurePinnedLifetime(joules, lowest, 1);
   std::printf("%s fidelity on %.0f J: %.0f s (%d:%02d)\n",
@@ -74,14 +79,20 @@ int Lifetime(const odharness::Flags& flags) {
 
 int Goal(const odharness::Flags& flags) {
   odapps::GoalScenarioOptions options;
-  options.initial_joules = flags.GetDouble("joules", 13500.0);
-  options.goal = odsim::SimDuration::Minutes(flags.GetDouble("minutes", 22.0));
+  options.initial_joules = flags.GetPositiveDouble("joules", 13500.0);
+  options.goal = odsim::SimDuration::Minutes(
+      flags.GetPositiveDouble("minutes", 22.0, kMaxMinutes));
   options.seed = flags.GetUint64("seed", 1);
   options.bursty = flags.Has("bursty");
   options.use_smart_battery = flags.Has("smart-battery");
-  options.rpc_loss_probability = flags.GetDouble("loss", 0.0);
-  double extend_at = flags.GetDouble("extend-at-min", 0.0);
-  double extend_by = flags.GetDouble("extend-min", 0.0);
+  options.rpc_loss_probability = flags.GetNonNegativeDouble("loss", 0.0);
+  if (options.rpc_loss_probability >= 1.0) {
+    throw odharness::FlagError("--loss must be < 1");
+  }
+  double extend_at = flags.GetNonNegativeDouble("extend-at-min", 0.0,
+                                                kMaxMinutes);
+  double extend_by = flags.GetNonNegativeDouble("extend-min", 0.0,
+                                                kMaxMinutes);
   if (extend_at > 0.0 && extend_by > 0.0) {
     options.extend_at = odsim::SimDuration::Minutes(extend_at);
     options.extend_by = odsim::SimDuration::Minutes(extend_by);
