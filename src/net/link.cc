@@ -50,8 +50,7 @@ void Link::StartNext() {
     return;
   }
   active_ = true;
-  Pending next = std::move(queue_.front());
-  queue_.pop_front();
+  Pending next = queue_.pop_front();
 
   pm_->BeginNetworkUse();
   pm_->wavelan()->Set(next.direction == Direction::kSend
@@ -70,17 +69,25 @@ void Link::StartNext() {
     });
   }
 
-  sim_->Schedule(duration, [this, bytes = next.bytes, duration,
-                            on_done = std::move(next.on_done)]() mutable {
-    total_bytes_ += bytes;
-    total_busy_seconds_ += duration.seconds();
-    pm_->wavelan()->Set(odpower::WaveLanState::kIdle);
-    pm_->EndNetworkUse();
-    if (on_done) {
-      on_done();
-    }
-    StartNext();
-  });
+  active_bytes_ = next.bytes;
+  active_duration_ = duration;
+  active_done_ = std::move(next.on_done);
+  sim_->Schedule(duration, [this] { FinishTransfer(); });
+}
+
+void Link::FinishTransfer() {
+  total_bytes_ += active_bytes_;
+  total_busy_seconds_ += active_duration_.seconds();
+  pm_->wavelan()->Set(odpower::WaveLanState::kIdle);
+  pm_->EndNetworkUse();
+  // Moved out first: the callback may queue the next transfer, and
+  // StartNext below overwrites the slot.
+  odsim::EventFn on_done = std::move(active_done_);
+  active_done_ = nullptr;
+  if (on_done) {
+    on_done();
+  }
+  StartNext();
 }
 
 }  // namespace odnet

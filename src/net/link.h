@@ -10,10 +10,10 @@
 #define SRC_NET_LINK_H_
 
 #include <cstddef>
-#include <deque>
 
 #include "src/power/power_manager.h"
 #include "src/sim/simulator.h"
+#include "src/util/fifo.h"
 
 namespace odnet {
 
@@ -82,12 +82,18 @@ class Link {
   };
 
   void StartNext();
+  void FinishTransfer();
 
   odsim::Simulator* sim_;
   odpower::PowerManager* pm_;
   LinkConfig config_;
-  std::deque<Pending> queue_;
+  odutil::Fifo<Pending> queue_;
+  // The transfer on the air (one at a time): its completion event captures
+  // only `this` and reads these.
   bool active_ = false;
+  size_t active_bytes_ = 0;
+  odsim::SimDuration active_duration_;
+  odsim::EventFn active_done_;
   bool outage_ = false;
   size_t total_bytes_ = 0;
   double total_busy_seconds_ = 0.0;

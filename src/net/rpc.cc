@@ -1,7 +1,6 @@
 #include "src/net/rpc.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "src/util/check.h"
@@ -21,14 +20,6 @@ const char* RpcStatusName(RpcStatus status) {
   }
   return "unknown";
 }
-
-struct RpcClient::CallState {
-  bool settled = false;
-  int attempt = 1;  // 1-based; attempt - 1 retries have been spent.
-  StatusFn on_complete;
-  odsim::EventHandle deadline_timer;
-  odsim::EventHandle retry_timer;
-};
 
 RpcClient::RpcClient(odsim::Simulator* sim, Link* link, odpower::PowerManager* pm,
                      uint64_t loss_seed)
@@ -72,43 +63,58 @@ void RpcClient::CallWithCompute(size_t request_bytes, size_t reply_bytes,
 
 void RpcClient::CallWithStatus(size_t request_bytes, size_t reply_bytes,
                                ComputeFn compute, StatusFn on_complete) {
-  // A plain compute never refuses: adapt it onto the outcome-aware path.
-  CallWithOutcome(
-      request_bytes, reply_bytes,
-      [compute = std::move(compute)](std::function<void(bool)> done) {
-        compute([done = std::move(done)] { done(true); });
-      },
-      std::move(on_complete));
+  Start(request_bytes, reply_bytes, std::move(compute), nullptr,
+        std::move(on_complete));
 }
 
 void RpcClient::CallWithOutcome(size_t request_bytes, size_t reply_bytes,
                                 OutcomeComputeFn compute, StatusFn on_complete) {
+  Start(request_bytes, reply_bytes, nullptr, std::move(compute),
+        std::move(on_complete));
+}
+
+void RpcClient::Start(size_t request_bytes, size_t reply_bytes,
+                      ComputeFn compute, OutcomeComputeFn outcome_compute,
+                      StatusFn on_complete) {
   // Hold the interface out of standby across the whole exchange: the client
   // must listen for the reply while the server computes.
   pm_->BeginNetworkUse();
-  auto state = std::make_shared<CallState>();
-  state->on_complete = std::move(on_complete);
+  CallRef ref = calls_.Acquire();
+  CallState& call = calls_[ref];
+  call.request_bytes = request_bytes;
+  call.reply_bytes = reply_bytes;
+  call.compute = std::move(compute);
+  call.outcome_compute = std::move(outcome_compute);
+  call.on_complete = std::move(on_complete);
+  call.attempt = 1;
+  call.retry_timer = odsim::EventHandle();
+  call.deadline_timer = odsim::EventHandle();
   if (config_.deadline > odsim::SimDuration::Zero()) {
-    state->deadline_timer = sim_->Schedule(config_.deadline, [this, state] {
-      if (state->settled) {
+    call.deadline_timer = sim_->Schedule(config_.deadline, [this, ref] {
+      if (calls_.Find(ref) == nullptr) {
         return;
       }
       ++deadlines_exceeded_;
-      Settle(state, RpcStatus::kDeadlineExceeded);
+      Settle(ref, RpcStatus::kDeadlineExceeded);
     });
   }
-  Attempt(request_bytes, reply_bytes, compute, state);
+  Attempt(ref);
 }
 
-void RpcClient::Settle(const std::shared_ptr<CallState>& state, RpcStatus status) {
-  OD_CHECK(!state->settled);
-  state->settled = true;
-  state->deadline_timer.Cancel();
-  state->retry_timer.Cancel();
+void RpcClient::Settle(CallRef ref, RpcStatus status) {
+  CallState& call = calls_[ref];
+  call.deadline_timer.Cancel();
+  call.retry_timer.Cancel();
+  // Settle runs only from an event (a transfer completion or a timer),
+  // never from inside the call's compute, so dropping it here cannot
+  // destroy a running closure.
+  call.compute = nullptr;
+  call.outcome_compute = nullptr;
+  StatusFn done = std::move(call.on_complete);
+  call.on_complete = nullptr;
+  calls_.Release(ref);
   pm_->EndNetworkUse();
-  if (state->on_complete) {
-    StatusFn done = std::move(state->on_complete);
-    state->on_complete = nullptr;
+  if (done) {
     done(status);
   }
 }
@@ -128,81 +134,89 @@ odsim::SimDuration RpcClient::BackoffDelay(int retry_index) {
   return base;
 }
 
-void RpcClient::Attempt(size_t request_bytes, size_t reply_bytes,
-                        const OutcomeComputeFn& compute,
-                        const std::shared_ptr<CallState>& state) {
-  // Shared between the request-lost and reply-lost paths.  Captures the
-  // state by value: a retry scheduled before the deadline fires must notice
-  // it fired by the time the timer runs.
-  auto retry = [this, request_bytes, reply_bytes, compute, state] {
-    if (state->settled) {
-      return;
-    }
-    if (state->attempt > config_.max_retries) {
-      ++retries_exhausted_;
-      Settle(state, RpcStatus::kRetriesExhausted);
-      return;
-    }
-    ++retransmissions_;
-    odsim::SimDuration delay = BackoffDelay(state->attempt - 1);
-    state->retry_timer =
-        sim_->Schedule(delay, [this, request_bytes, reply_bytes, compute, state] {
-          if (state->settled) {
-            return;
-          }
-          ++state->attempt;
-          Attempt(request_bytes, reply_bytes, compute, state);
-        });
-  };
+void RpcClient::Attempt(CallRef ref) {
+  CallState& call = calls_[ref];
+  call.request_lost = rng_.Bernoulli(config_.loss_probability);
+  link_->Transfer(Direction::kSend, call.request_bytes,
+                  [this, ref] { OnRequestSent(ref); });
+}
 
-  bool request_lost = rng_.Bernoulli(config_.loss_probability);
-  link_->Transfer(
-      Direction::kSend, request_bytes,
-      [this, reply_bytes, compute, request_lost, retry, state] {
-        if (state->settled) {
-          return;  // Deadline fired while the request sat in the queue.
-        }
-        if (request_lost) {
-          // The server never saw the request; the client times out.
-          ++request_losses_;
-          retry();
-          return;
-        }
-        compute([this, reply_bytes, retry, state](bool served) {
-          if (state->settled) {
-            return;
-          }
-          if (!served) {
-            // Admission reject: the server answers with a small typed
-            // refusal.  Not retried — the refusal is deliberate, and the
-            // reject reply shares the loss-free fate of being short (the
-            // client treats a lost refusal as the refusal it is only
-            // after its deadline; modeling that adds nothing here).
-            ++rejected_;
-            link_->Transfer(Direction::kReceive, kRejectReplyBytes,
-                            [this, state] {
-                              if (state->settled) {
-                                return;
-                              }
-                              Settle(state, RpcStatus::kRejected);
-                            });
-            return;
-          }
-          bool reply_lost = rng_.Bernoulli(config_.loss_probability);
-          link_->Transfer(Direction::kReceive, reply_bytes,
-                          [this, reply_lost, retry, state] {
-                            if (state->settled) {
-                              return;
-                            }
-                            if (reply_lost) {
-                              ++reply_losses_;
-                              retry();
-                              return;
-                            }
-                            Settle(state, RpcStatus::kOk);
-                          });
-        });
-      });
+void RpcClient::OnRequestSent(CallRef ref) {
+  CallState* call = calls_.Find(ref);
+  if (call == nullptr) {
+    return;  // Deadline fired while the request sat in the queue.
+  }
+  if (call->request_lost) {
+    // The server never saw the request; the client times out.
+    ++request_losses_;
+    Retry(ref);
+    return;
+  }
+  if (call->outcome_compute) {
+    call->outcome_compute(
+        [this, ref](bool served) { OnComputed(ref, served); });
+  } else {
+    call->compute([this, ref] { OnComputed(ref, /*served=*/true); });
+  }
+}
+
+void RpcClient::OnComputed(CallRef ref, bool served) {
+  CallState* call = calls_.Find(ref);
+  if (call == nullptr) {
+    return;
+  }
+  if (!served) {
+    // Admission reject: the server answers with a small typed refusal.
+    // Not retried — the refusal is deliberate, and the reject reply
+    // shares the loss-free fate of being short (the client treats a lost
+    // refusal as the refusal it is only after its deadline; modeling that
+    // adds nothing here).
+    ++rejected_;
+    link_->Transfer(Direction::kReceive, kRejectReplyBytes, [this, ref] {
+      if (calls_.Find(ref) == nullptr) {
+        return;
+      }
+      Settle(ref, RpcStatus::kRejected);
+    });
+    return;
+  }
+  call->reply_lost = rng_.Bernoulli(config_.loss_probability);
+  link_->Transfer(Direction::kReceive, call->reply_bytes,
+                  [this, ref] { OnReplyReceived(ref); });
+}
+
+void RpcClient::OnReplyReceived(CallRef ref) {
+  CallState* call = calls_.Find(ref);
+  if (call == nullptr) {
+    return;
+  }
+  if (call->reply_lost) {
+    ++reply_losses_;
+    Retry(ref);
+    return;
+  }
+  Settle(ref, RpcStatus::kOk);
+}
+
+void RpcClient::Retry(CallRef ref) {
+  // Shared by the request-lost and reply-lost paths.  The timer re-checks
+  // the handle: the deadline may fire before the backoff ends.
+  CallState& call = calls_[ref];
+  if (call.attempt > config_.max_retries) {
+    ++retries_exhausted_;
+    Settle(ref, RpcStatus::kRetriesExhausted);
+    return;
+  }
+  ++retransmissions_;
+  odsim::SimDuration delay = BackoffDelay(call.attempt - 1);
+  call.retry_timer = sim_->Schedule(delay, [this, ref] {
+    CallState* live = calls_.Find(ref);
+    if (live == nullptr) {
+      return;
+    }
+    ++live->attempt;
+    Attempt(ref);
+  });
 }
 
 }  // namespace odnet

@@ -21,12 +21,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "src/net/link.h"
 #include "src/power/power_manager.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
+#include "src/util/slot_pool.h"
 
 namespace odnet {
 
@@ -132,16 +132,38 @@ class RpcClient {
   int rejected() const { return rejected_; }
 
  private:
-  // Per-call bookkeeping shared by the attempt chain, the retry timer, and
-  // the deadline timer.  `settled` makes late continuations — a transfer
-  // that finally drains after an outage, a reply racing the deadline —
-  // harmless no-ops.
-  struct CallState;
+  // One call's state, pooled per client.  Every continuation of the call —
+  // request sent, compute done, reply or refusal received, retry and
+  // deadline timers — captures only `{this, CallRef}`, so a call allocates
+  // nothing once the pool has grown to the client's peak concurrency.
+  // Settle releases the record, so late continuations (a transfer that
+  // finally drains after an outage, a reply racing the deadline) see a
+  // stale handle and do nothing.
+  struct CallState {
+    size_t request_bytes = 0;
+    size_t reply_bytes = 0;
+    // Exactly one is set: `compute` for CallWithStatus (never refuses),
+    // `outcome_compute` for CallWithOutcome.
+    ComputeFn compute;
+    OutcomeComputeFn outcome_compute;
+    StatusFn on_complete;
+    int attempt = 1;  // 1-based; attempt - 1 retries have been spent.
+    // The current attempt's loss draws, made when each message is sent.
+    bool request_lost = false;
+    bool reply_lost = false;
+    odsim::EventHandle deadline_timer;
+    odsim::EventHandle retry_timer;
+  };
+  using CallRef = odutil::SlotPool<CallState>::Handle;
 
-  void Attempt(size_t request_bytes, size_t reply_bytes,
-               const OutcomeComputeFn& compute,
-               const std::shared_ptr<CallState>& state);
-  void Settle(const std::shared_ptr<CallState>& state, RpcStatus status);
+  void Start(size_t request_bytes, size_t reply_bytes, ComputeFn compute,
+             OutcomeComputeFn outcome_compute, StatusFn on_complete);
+  void Attempt(CallRef ref);
+  void OnRequestSent(CallRef ref);
+  void OnComputed(CallRef ref, bool served);
+  void OnReplyReceived(CallRef ref);
+  void Retry(CallRef ref);
+  void Settle(CallRef ref, RpcStatus status);
   odsim::SimDuration BackoffDelay(int retry_index);
 
   odsim::Simulator* sim_;
@@ -149,6 +171,7 @@ class RpcClient {
   odpower::PowerManager* pm_;
   RpcConfig config_;
   odutil::Rng rng_;
+  odutil::SlotPool<CallState> calls_;
   int retransmissions_ = 0;
   int request_losses_ = 0;
   int reply_losses_ = 0;

@@ -17,6 +17,7 @@
 #include "src/net/rpc.h"
 #include "src/odyssey/server.h"
 #include "src/sim/simulator.h"
+#include "src/util/slot_pool.h"
 
 namespace odyssey {
 
@@ -81,12 +82,32 @@ class Warden {
  private:
   friend class Viceroy;
 
+  // One keyed fetch's state, pooled per warden.  The RPC's compute step,
+  // the service's completion and the RPC's status completion capture only
+  // `{this, FetchRef}`; the record carries the key and the serve outcome
+  // between them.  Released when the RPC settles, so a completion from a
+  // stalled service that arrives after the fetch ended (deadline) finds a
+  // stale handle and does nothing.
+  struct FetchState {
+    std::string key;
+    odsim::SimDuration server_time;
+    odserve::ServeOutcome serve = odserve::ServeOutcome::kServed;
+    std::function<void(bool served)> rpc_done;  // The RPC's compute completion.
+    OutcomeFn on_done;
+  };
+  using FetchRef = odutil::SlotPool<FetchState>::Handle;
+
+  void SubmitFetch(FetchRef ref, std::function<void(bool served)> rpc_done);
+  void OnServed(FetchRef ref, odserve::ServeOutcome outcome);
+  void FinishFetch(FetchRef ref, odnet::RpcStatus status);
+
   std::string data_type_;
   Viceroy* viceroy_ = nullptr;  // Set at registration.
   std::unique_ptr<RemoteServer> server_;
   int failed_fetches_ = 0;
   int rejected_fetches_ = 0;
   int cache_hits_ = 0;
+  odutil::SlotPool<FetchState> fetches_;
 };
 
 }  // namespace odyssey

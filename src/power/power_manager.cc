@@ -80,8 +80,7 @@ void PowerManager::AccessDisk(odsim::SimDuration duration, odsim::EventFn on_don
         on_done();
       }
       if (!disk_queue_.empty()) {
-        DiskRequest next = std::move(disk_queue_.front());
-        disk_queue_.pop_front();
+        DiskRequest next = disk_queue_.pop_front();
         AccessDisk(next.duration, std::move(next.on_done));
       } else {
         ArmDiskTimer();

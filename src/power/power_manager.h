@@ -12,12 +12,11 @@
 #ifndef SRC_POWER_POWER_MANAGER_H_
 #define SRC_POWER_POWER_MANAGER_H_
 
-#include <deque>
-
 #include "src/power/disk.h"
 #include "src/power/display.h"
 #include "src/power/wavelan.h"
 #include "src/sim/simulator.h"
+#include "src/util/fifo.h"
 
 namespace odpower {
 
@@ -90,7 +89,7 @@ class PowerManager {
     odsim::SimDuration duration;
     odsim::EventFn on_done;
   };
-  std::deque<DiskRequest> disk_queue_;
+  odutil::Fifo<DiskRequest> disk_queue_;
   int network_use_count_ = 0;
 };
 

@@ -98,6 +98,11 @@ void SharedService::SubmitKeyed(int session, const std::string& key,
   request.key = key;
   request.on_served = std::move(on_done);
   queue_.push_back(std::move(request));
+  if (config_.batch_same_key) {
+    Request& queued = queue_.back();
+    bool inserted = queued_by_key_.emplace(queued.key, &queued).second;
+    OD_CHECK(inserted);
+  }
   if (!busy_) {
     StartNext();
   }
@@ -117,12 +122,8 @@ SharedService::Request* SharedService::FindBatchTarget(const std::string& key) {
   if (busy_ && in_service_keyed_ && in_service_key_ == key) {
     return &in_service_;
   }
-  for (Request& request : queue_) {
-    if (request.keyed && request.key == key) {
-      return &request;
-    }
-  }
-  return nullptr;
+  auto it = queued_by_key_.find(key);
+  return it == queued_by_key_.end() ? nullptr : it->second;
 }
 
 void SharedService::StartNext() {
@@ -132,6 +133,9 @@ void SharedService::StartNext() {
     return;
   }
   busy_ = true;
+  if (queue_.front().keyed && config_.batch_same_key) {
+    queued_by_key_.erase(queue_.front().key);
+  }
   in_service_ = std::move(queue_.front());
   queue_.pop_front();
   in_service_keyed_ = in_service_.keyed;
@@ -219,15 +223,19 @@ double SharedService::WaitPercentileSeconds(double p) const {
   if (waits_.empty()) {
     return 0.0;
   }
-  std::vector<double> sorted = waits_;
-  std::sort(sorted.begin(), sorted.end());
   // Nearest-rank: the smallest value with at least p% of mass at or below.
   size_t rank = static_cast<size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
+      std::ceil(p / 100.0 * static_cast<double>(waits_.size())));
   if (rank > 0) {
     --rank;
   }
-  return sorted[std::min(rank, sorted.size() - 1)];
+  rank = std::min(rank, waits_.size() - 1);
+  // Only the element at `rank` needs its sorted position.  A copy, because
+  // MeanWaitSeconds sums in arrival order.
+  std::vector<double> waits = waits_;
+  auto nth = waits.begin() + static_cast<std::ptrdiff_t>(rank);
+  std::nth_element(waits.begin(), nth, waits.end());
+  return *nth;
 }
 
 }  // namespace odserve

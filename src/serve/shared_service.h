@@ -37,6 +37,7 @@
 #include <functional>
 #include <list>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -161,6 +162,12 @@ class SharedService {
   std::vector<int> session_completed_;
 
   std::deque<Request> queue_;  // Arrival order; front is served next.
+  // Batch targets: each queued keyed request by key, kept while
+  // batch_same_key is on.  Batching queues at most one request per key (a
+  // second submit joins the first), so this finds exactly the request a
+  // front-to-back scan would.  The views point at the requests' own keys;
+  // deque elements stay put under push_back/pop_front.
+  std::unordered_map<std::string_view, Request*> queued_by_key_;
   bool busy_ = false;
   bool in_service_keyed_ = false;
   std::string in_service_key_;

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <string>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "src/harness/artifact.h"
@@ -15,7 +17,12 @@ namespace {
 class ArtifactReplayTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = testing::TempDir() + "/replay_test";
+    // One directory per test and process: ctest runs each case as its own
+    // process, in parallel, and CachesParsedArtifactAcrossLookups deletes
+    // the artifact the others read.
+    dir_ = testing::TempDir() + "/replay_test_" +
+           testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "_" + std::to_string(getpid());
     std::string cmd = "mkdir -p " + dir_;
     ASSERT_EQ(std::system(cmd.c_str()), 0);
 
@@ -34,6 +41,11 @@ class ArtifactReplayTest : public ::testing::Test {
     artifact.AddSet("Video 1/Combined", std::move(set));
     artifact.AddNote("claim_ratio", 0.94);
     ASSERT_TRUE(artifact.WriteFile(dir_ + "/fig06_video.json"));
+  }
+
+  void TearDown() override {
+    std::string cmd = "rm -rf " + dir_;
+    EXPECT_EQ(std::system(cmd.c_str()), 0);
   }
 
   std::string dir_;

@@ -1,7 +1,9 @@
 // Failure injection: lossy wireless channels cost retransmissions, time,
 // and energy, but calls still complete.
 
+#include <functional>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -215,6 +217,133 @@ TEST(RpcLossTest, InterfaceReleasedAfterLossyCall) {
   rig.sim.Run();
   EXPECT_FALSE(rig.laptop->power_manager().network_in_use());
   EXPECT_EQ(rig.laptop->wavelan().wavelan_state(), odpower::WaveLanState::kStandby);
+}
+
+
+// Pooled call records: a settled call's record serves the next call, and
+// every continuation of the settled call that is still in flight (a send
+// parked by an outage, a refusal, a cancelled retry) must leave the new
+// call alone.  A fresh client has one record, so call B below always
+// reuses call A's.
+
+TEST(RpcLossTest, StaleSendAfterDeadlineLeavesTheNextCallAlone) {
+  Rig rig;
+  RpcConfig config;
+  config.deadline = odsim::SimDuration::Seconds(2);
+  rig.rpc.set_config(config);
+  rig.link.SetOutage(true);
+
+  int a_computes = 0;
+  RpcStatus a_status = RpcStatus::kOk;
+  rig.rpc.CallWithStatus(
+      1000, 1000,
+      [&](odsim::EventFn done) {
+        ++a_computes;
+        done();
+      },
+      [&](RpcStatus s) { a_status = s; });
+  rig.sim.RunUntil(odsim::SimTime::Seconds(3));
+  ASSERT_EQ(a_status, RpcStatus::kDeadlineExceeded);
+
+  // B's request queues behind A's, which still sits in the link.
+  std::vector<odsim::SimTime> b_computed;
+  std::vector<RpcStatus> b_status;
+  rig.rpc.CallWithStatus(
+      1000, 1000,
+      [&](odsim::EventFn done) {
+        b_computed.push_back(rig.sim.Now());
+        done();
+      },
+      [&](RpcStatus s) { b_status.push_back(s); });
+  rig.link.SetOutage(false);
+  rig.sim.Run();
+
+  EXPECT_EQ(a_computes, 0);
+  // A's stale send drains first and must not advance B: B computes once,
+  // after its own request, two transfers after the outage cleared.
+  ASSERT_EQ(b_computed.size(), 1u);
+  EXPECT_EQ(b_computed[0],
+            odsim::SimTime::Seconds(3) + rig.link.TransferTime(1000) * 2.0);
+  ASSERT_EQ(b_status.size(), 1u);
+  EXPECT_EQ(b_status[0], RpcStatus::kOk);
+  EXPECT_FALSE(rig.laptop->power_manager().network_in_use());
+}
+
+TEST(RpcLossTest, ReplyLostRetryDoesNotCarryIntoTheNextCall) {
+  Rig rig;
+  RpcConfig clean;
+  clean.retry_timeout = odsim::SimDuration::Millis(500);
+  clean.max_retries = 1;
+  RpcConfig lossy = clean;
+  lossy.loss_probability = 0.9999;
+
+  // Each call's request arrives on a clean channel, then the channel turns
+  // (all but certainly) lossy: the reply is lost, the one retry's request
+  // is lost too, and the call gives up after exactly one retransmission.
+  auto lossy_call = [&](std::vector<RpcStatus>* status, int* computes) {
+    rig.rpc.set_config(clean);
+    rig.rpc.CallWithStatus(
+        1000, 1000,
+        [&rig, &lossy, computes](odsim::EventFn done) {
+          ++*computes;
+          rig.rpc.set_config(lossy);
+          done();
+        },
+        [status](RpcStatus s) { status->push_back(s); });
+    rig.sim.Run();
+  };
+  std::vector<RpcStatus> a_status;
+  int a_computes = 0;
+  lossy_call(&a_status, &a_computes);
+  ASSERT_EQ(a_status, std::vector<RpcStatus>{RpcStatus::kRetriesExhausted});
+  ASSERT_EQ(rig.rpc.reply_losses(), 1);
+  ASSERT_EQ(rig.rpc.request_losses(), 1);
+  ASSERT_EQ(rig.rpc.retransmissions(), 1);
+
+  // B reuses A's record, which A left at its last attempt with both loss
+  // flags set.  B must start over: a full retry budget of its own.
+  std::vector<RpcStatus> b_status;
+  int b_computes = 0;
+  lossy_call(&b_status, &b_computes);
+  EXPECT_EQ(b_status, std::vector<RpcStatus>{RpcStatus::kRetriesExhausted});
+  EXPECT_EQ(b_computes, 1);
+  EXPECT_EQ(rig.rpc.reply_losses(), 2);
+  EXPECT_EQ(rig.rpc.request_losses(), 2);
+  EXPECT_EQ(rig.rpc.retransmissions(), 2);
+  EXPECT_EQ(rig.rpc.retries_exhausted(), 2);
+  EXPECT_FALSE(rig.laptop->power_manager().network_in_use());
+}
+
+TEST(RpcLossTest, StaleRefusalDoesNotRejectTheNextCall) {
+  Rig rig;
+  RpcConfig config;
+  config.deadline = odsim::SimDuration::Seconds(2);
+  rig.rpc.set_config(config);
+
+  // The server refuses A, and the channel dies before the refusal is sent.
+  RpcStatus a_status = RpcStatus::kOk;
+  rig.rpc.CallWithOutcome(
+      1000, 1000,
+      [&](std::function<void(bool)> done) {
+        rig.link.SetOutage(true);
+        done(false);
+      },
+      [&](RpcStatus s) { a_status = s; });
+  rig.sim.RunUntil(odsim::SimTime::Seconds(3));
+  ASSERT_EQ(a_status, RpcStatus::kDeadlineExceeded);
+  ASSERT_EQ(rig.rpc.rejected(), 1);
+
+  std::vector<RpcStatus> b_status;
+  rig.rpc.CallWithOutcome(
+      1000, 1000, [](std::function<void(bool)> done) { done(true); },
+      [&](RpcStatus s) { b_status.push_back(s); });
+  rig.link.SetOutage(false);
+  rig.sim.Run();
+  // A's refusal drains ahead of B's request and must not settle B.
+  ASSERT_EQ(b_status.size(), 1u);
+  EXPECT_EQ(b_status[0], RpcStatus::kOk);
+  EXPECT_EQ(rig.rpc.rejected(), 1);
+  EXPECT_FALSE(rig.laptop->power_manager().network_in_use());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/net/link.h"
@@ -87,6 +88,41 @@ TEST(SharedServiceBatchTest, IdenticalKeysAcrossSessionsBatch) {
   EXPECT_EQ(service.SessionCompleted(alice), 1);
   EXPECT_EQ(service.SessionCompleted(bob), 1);
   EXPECT_EQ(service.SessionCompleted(carol), 1);
+}
+
+// Joins find queued requests by key, and a request leaves the key index
+// when it enters service: a later submit of its key joins it in service
+// while it runs, and queues afresh once it has finished.  The keys are too
+// long for the string's inline buffer, so an index entry left behind would
+// still match its key after the request's storage is gone.
+TEST(SharedServiceBatchTest, JoinsFollowRequestsFromQueueIntoService) {
+  odsim::Simulator sim;
+  SharedService service(&sim, "s", ServiceConfig{.batch_same_key = true});
+  int session = service.OpenSession("c");
+  std::vector<std::pair<std::string, double>> done;
+  auto submit = [&](const std::string& name) {
+    service.SubmitKeyed(session, "distilled-object-" + name, Sec(1),
+                        [&done, &sim, name](ServeOutcome) {
+                          done.emplace_back(name, sim.Now().seconds());
+                        });
+  };
+  submit("X");  // In service 0-1 s.
+  submit("A");  // Queued; in service 1-2 s.
+  submit("B");  // Queued; in service 2-3 s.
+  submit("B");  // Joins the queued B.
+  sim.Schedule(Sec(1.5), [&] { submit("A"); });  // Joins A in service.
+  sim.Schedule(Sec(2.5), [&] {
+    submit("A");  // A has finished: queues again, in service 3-4 s.
+    submit("B");  // Joins B in service.
+  });
+  sim.Run();
+
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"X", 1.0}, {"A", 2.0}, {"A", 2.0}, {"B", 3.0},
+      {"B", 3.0}, {"B", 3.0}, {"A", 4.0}};
+  EXPECT_EQ(done, expected);
+  EXPECT_EQ(service.batch_joins(), 3);
+  EXPECT_DOUBLE_EQ(service.total_busy_seconds(), 4.0);
 }
 
 TEST(SharedServiceBatchTest, DifferentKeysDoNotBatch) {
