@@ -83,7 +83,7 @@ ODBENCH_EXPERIMENT(gauge_drift_sweep,
                    "with and without the drift sentinel") {
   // Fault windows sit inside the goal with slack after them, so recovery
   // is part of the record.  800 s at 1.2x is a ~1,600 J raw bias; the
-  // 1.2x step exceeds max_plausible_watts only at workload peaks, so most
+  // 1.2x step exceeds kMaxPlausibleWatts only at workload peaks, so most
   // of its readings pass validation and the bias accrues silently in the
   // baseline arm.  1.5x is caught at peaks but not in the troughs; 3x is
   // rejected sample-by-sample (the complementary case: the fault window

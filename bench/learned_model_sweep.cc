@@ -14,7 +14,7 @@
 //                  excitation unit tests (learned_model_test) pin exact
 //                  recovery where excitation is orthogonal.
 //   scaled gauge - the same fit against a gauge that over-reads by 1.1x
-//                  from the first sample (under max_plausible_watts even at
+//                  from the first sample (under kMaxPlausibleWatts even at
 //                  workload peaks, so validation stays silent).  The model
 //                  must learn the *delivered* stream, so its energy comes
 //                  out scaled by the same factor relative to the calibrated

@@ -13,6 +13,27 @@
 #include "src/util/check.h"
 
 namespace odapps {
+namespace {
+
+// A fault injector aimed at the bed's link, RPC client, power manager and
+// warden servers, with telemetry kinds hitting `monitor`.
+std::unique_ptr<odfault::FaultInjector> MakeInjector(
+    TestBed& bed, odscope::PowerMonitor* monitor) {
+  odfault::FaultTargets targets;
+  targets.link = &bed.link();
+  targets.rpc = &bed.viceroy().rpc();
+  targets.pm = &bed.laptop().power_manager();
+  for (const char* data_type : {"video", "speech", "map", "web"}) {
+    odyssey::Warden* warden = bed.viceroy().FindWarden(data_type);
+    if (warden != nullptr) {
+      targets.servers.push_back(warden->server());
+    }
+  }
+  targets.monitor = monitor;
+  return std::make_unique<odfault::FaultInjector>(&bed.sim(), targets);
+}
+
+}  // namespace
 
 GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
   TestBed bed(TestBed::Options{
@@ -93,18 +114,7 @@ GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
 
   std::unique_ptr<odfault::FaultInjector> injector;
   if (disturbed) {
-    odfault::FaultTargets targets;
-    targets.link = &bed.link();
-    targets.rpc = &bed.viceroy().rpc();
-    targets.pm = &bed.laptop().power_manager();
-    for (const char* data_type : {"video", "speech", "map", "web"}) {
-      odyssey::Warden* warden = bed.viceroy().FindWarden(data_type);
-      if (warden != nullptr) {
-        targets.servers.push_back(warden->server());
-      }
-    }
-    targets.monitor = monitor.get();
-    injector = std::make_unique<odfault::FaultInjector>(&bed.sim(), targets);
+    injector = MakeInjector(bed, monitor.get());
   }
 
   // Workload.
@@ -183,10 +193,11 @@ GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
   result.outcome = director.outcome();
   result.estimated_residual_joules = director.EstimatedResidualJoules();
   result.final_health = director.health();
-  result.safe_mode_seconds = director.SafeModeSeconds(end);
-  result.safe_mode_entries = director.safe_mode_entries();
-  result.invalid_samples = director.invalid_samples();
-  result.telemetry_gaps = director.telemetry_gaps();
+  const odenergy::TelemetryGuard& telemetry = director.telemetry();
+  result.safe_mode_seconds = telemetry.SafeModeSeconds(end);
+  result.safe_mode_entries = telemetry.safe_mode_entries();
+  result.invalid_samples = telemetry.invalid_samples();
+  result.telemetry_gaps = telemetry.telemetry_gaps();
   result.outage_clamps = bed.viceroy().outage_clamps();
   result.accounted_joules = bed.laptop().accounting().TotalJoules(end);
   if (learned != nullptr) {
@@ -197,13 +208,14 @@ GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
     result.coefficient_recovery_error =
         learned->CoefficientRecoveryError(/*min_excitation_seconds=*/30.0,
                                           /*min_true_watts=*/0.05);
-    result.coefficient_report = learned->Report();
-    result.drift_entries = director.drift_entries();
-    result.drift_seconds = director.DriftSeconds(end);
-    result.drift_correction_joules = director.drift_correction_joules();
-    if (director.first_drift_detected().has_value()) {
+  }
+  if (const auto& drift = director.drift_sentinel(); drift.has_value()) {
+    result.drift_entries = drift->entries();
+    result.drift_seconds = drift->Seconds(end);
+    result.drift_correction_joules = drift->correction_joules();
+    if (drift->first_detected().has_value()) {
       result.first_drift_detected_seconds =
-          (*director.first_drift_detected() - start).seconds();
+          (*drift->first_detected() - start).seconds();
     }
   }
   if (bed.tracer() != nullptr) {
@@ -235,18 +247,7 @@ double MeasurePinnedLifetime(double initial_joules, bool lowest_fidelity,
     rpc.max_retries = 5;
     rpc.deadline = odsim::SimDuration::Seconds(10);
     bed.viceroy().rpc().set_config(rpc);
-    odfault::FaultTargets targets;
-    targets.link = &bed.link();
-    targets.rpc = &bed.viceroy().rpc();
-    targets.pm = &bed.laptop().power_manager();
-    for (const char* data_type : {"video", "speech", "map", "web"}) {
-      odyssey::Warden* warden = bed.viceroy().FindWarden(data_type);
-      if (warden != nullptr) {
-        targets.servers.push_back(warden->server());
-      }
-    }
-    targets.monitor = &idle_monitor;
-    injector = std::make_unique<odfault::FaultInjector>(&bed.sim(), targets);
+    injector = MakeInjector(bed, &idle_monitor);
   }
   Settle(bed);
   if (injector != nullptr) {

@@ -142,7 +142,6 @@ struct GoalScenarioResult {
   bool learned_primary_active = false;
   // Excitation-weighted coefficient error vs. the calibration table.
   double coefficient_recovery_error = 1.0;
-  std::vector<odenergy::LearnedEstimator::CoefficientReport> coefficient_report;
   int drift_entries = 0;
   double drift_seconds = 0.0;
   double drift_correction_joules = 0.0;

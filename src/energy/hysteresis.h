@@ -43,8 +43,6 @@ class HysteresisPolicy {
 
   double UpgradeMarginJoules(double residual_joules, double initial_joules) const;
 
-  const HysteresisConfig& config() const { return config_; }
-
  private:
   HysteresisConfig config_;
   odsim::SimTime last_upgrade_ = odsim::SimTime::Zero();

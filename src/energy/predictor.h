@@ -27,7 +27,6 @@ class DemandPredictor {
 
   double smoothed_watts() const { return smoother_.value(); }
   bool initialized() const { return smoother_.initialized(); }
-  double half_life_fraction() const { return half_life_fraction_; }
 
   void Reset();
 

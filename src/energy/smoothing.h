@@ -18,7 +18,6 @@ class ExponentialSmoother {
 
   // Sets the half-life, in seconds, applied to subsequent updates.
   void set_half_life(double seconds);
-  double half_life() const { return half_life_seconds_; }
 
   // Folds in a sample observed over the trailing `dt_seconds`.
   // The first sample initializes the estimate directly.

@@ -71,12 +71,12 @@ TEST(ControllerHealthTest, CleanFeedStaysHealthy) {
   director.Start(false);
   rig.sim.RunUntil(odsim::SimTime::Seconds(20));
   EXPECT_EQ(director.health(), ControllerHealth::kHealthy);
-  EXPECT_EQ(director.safe_mode_entries(), 0);
-  EXPECT_EQ(director.invalid_samples(), 0);
-  EXPECT_EQ(director.telemetry_gaps(), 0);
-  EXPECT_DOUBLE_EQ(director.telemetry_debit_joules(), 0.0);
+  EXPECT_EQ(director.telemetry().safe_mode_entries(), 0);
+  EXPECT_EQ(director.telemetry().invalid_samples(), 0);
+  EXPECT_EQ(director.telemetry().telemetry_gaps(), 0);
+  EXPECT_DOUBLE_EQ(director.telemetry().debit_joules(), 0.0);
   EXPECT_DOUBLE_EQ(
-      director.SafeModeSeconds(odsim::SimTime::Seconds(20)), 0.0);
+      director.telemetry().SafeModeSeconds(odsim::SimTime::Seconds(20)), 0.0);
   director.Stop();
 }
 
@@ -90,16 +90,16 @@ TEST(ControllerHealthTest, NanSamplesTripSafeModeAndClampFidelity) {
   ASSERT_EQ(rig.high.current_fidelity(), rig.high.fidelity_spec().highest());
 
   rig.monitor.telemetry_faults()->set_nan(true);
-  // Default invalid_sample_limit = 3, one sample per 100 ms: safe mode
+  // TelemetryGuard::kInvalidSampleLimit = 3, one sample per 100 ms: safe mode
   // within half a second of the corruption starting.
   rig.sim.RunUntil(odsim::SimTime::Seconds(7));
   EXPECT_EQ(director.health(), ControllerHealth::kSafeMode);
-  EXPECT_EQ(director.safe_mode_entries(), 1);
-  EXPECT_GE(director.invalid_samples(), 3);
+  EXPECT_EQ(director.telemetry().safe_mode_entries(), 1);
+  EXPECT_GE(director.telemetry().invalid_samples(), 3);
   // The energy-conserving fallback: everything at cheapest fidelity.
   EXPECT_EQ(rig.low.current_fidelity(), 0);
   EXPECT_EQ(rig.high.current_fidelity(), 0);
-  EXPECT_GT(director.SafeModeSeconds(odsim::SimTime::Seconds(7)), 0.0);
+  EXPECT_GT(director.telemetry().SafeModeSeconds(odsim::SimTime::Seconds(7)), 0.0);
   director.Stop();
 }
 
@@ -117,7 +117,7 @@ TEST(ControllerHealthTest, SafeModeFreezesPlanningDespiteSurplus) {
   EXPECT_EQ(director.health(), ControllerHealth::kSafeMode);
   EXPECT_EQ(rig.low.current_fidelity(), 0);
   EXPECT_EQ(rig.high.current_fidelity(), 0);
-  EXPECT_EQ(director.safe_mode_entries(), 1);  // One episode, not many.
+  EXPECT_EQ(director.telemetry().safe_mode_entries(), 1);  // One episode, not many.
   director.Stop();
 }
 
@@ -133,7 +133,7 @@ TEST(ControllerHealthTest, RecoveryHysteresisRestoresFidelity) {
   ASSERT_EQ(director.health(), ControllerHealth::kSafeMode);
 
   rig.monitor.telemetry_faults()->set_nan(false);
-  // Default health_recovery_samples = 8 -> ~0.8 s of valid readings before
+  // TelemetryGuard::kRecoverySamples = 8 -> ~0.8 s of valid readings before
   // the clamp lifts and the pre-fault fidelities return.
   rig.sim.RunUntil(odsim::SimTime::Seconds(10.3));
   EXPECT_EQ(director.health(), ControllerHealth::kSafeMode);  // Not yet.
@@ -142,9 +142,9 @@ TEST(ControllerHealthTest, RecoveryHysteresisRestoresFidelity) {
   EXPECT_EQ(rig.low.current_fidelity(), rig.low.fidelity_spec().highest());
   EXPECT_EQ(rig.high.current_fidelity(), rig.high.fidelity_spec().highest());
   // The episode is closed: safe-mode time stops accruing.
-  double at_recovery = director.SafeModeSeconds(odsim::SimTime::Seconds(15));
+  double at_recovery = director.telemetry().SafeModeSeconds(odsim::SimTime::Seconds(15));
   rig.sim.RunUntil(odsim::SimTime::Seconds(20));
-  EXPECT_DOUBLE_EQ(director.SafeModeSeconds(odsim::SimTime::Seconds(20)),
+  EXPECT_DOUBLE_EQ(director.telemetry().SafeModeSeconds(odsim::SimTime::Seconds(20)),
                    at_recovery);
   director.Stop();
 }
@@ -158,19 +158,19 @@ TEST(ControllerHealthTest, DropoutGapTripsTheWatchdogAndIsBridged) {
   rig.sim.RunUntil(odsim::SimTime::Seconds(10));
 
   rig.monitor.telemetry_faults()->set_dropout(true);
-  // No samples at all: the gap watchdog in Evaluate() (default 4 sampling
-  // periods = 0.4 s) must trip safe mode even though OnPowerSample never
-  // runs.
+  // No samples at all: the silence watchdog, checked at each evaluation
+  // (TelemetryGuard::kTimeoutPeriods = 4 sampling periods = 0.4 s), must
+  // trip safe mode even though no sample ever arrives.
   rig.sim.RunUntil(odsim::SimTime::Seconds(12));
   EXPECT_EQ(director.health(), ControllerHealth::kSafeMode);
 
   rig.monitor.telemetry_faults()->set_dropout(false);
   rig.sim.RunUntil(odsim::SimTime::Seconds(20));
   EXPECT_EQ(director.health(), ControllerHealth::kHealthy);
-  EXPECT_GE(director.telemetry_gaps(), 1);
+  EXPECT_GE(director.telemetry().telemetry_gaps(), 1);
   // The monitor integrated nothing during the outage; the debit bridges
   // the missing ~9.8 W so the residual estimate tracks the truth.
-  EXPECT_GT(director.telemetry_debit_joules(), 0.0);
+  EXPECT_GT(director.telemetry().debit_joules(), 0.0);
   double truth = director.TrueResidualJoules(odsim::SimTime::Seconds(20));
   EXPECT_NEAR(director.EstimatedResidualJoules(), truth, 0.02 * 1.0e4);
   director.Stop();
@@ -185,11 +185,12 @@ TEST(ControllerHealthTest, GaugeDriftIsRejectedAndReCounted) {
   rig.sim.RunUntil(odsim::SimTime::Seconds(10));
 
   // 3x gauge drift reads the ~9.8 W laptop as ~29 W — beyond
-  // max_plausible_watts, so every reading is rejected as implausible.
+  // TelemetryGuard::kMaxPlausibleWatts, so every reading is rejected as
+  // implausible.
   rig.monitor.telemetry_faults()->set_gauge_scale(3.0);
   rig.sim.RunUntil(odsim::SimTime::Seconds(40));
   EXPECT_EQ(director.health(), ControllerHealth::kSafeMode);
-  EXPECT_GT(director.invalid_samples(), 0);
+  EXPECT_GT(director.telemetry().invalid_samples(), 0);
 
   rig.monitor.telemetry_faults()->set_gauge_scale(1.0);
   rig.sim.RunUntil(odsim::SimTime::Seconds(50));
@@ -199,7 +200,7 @@ TEST(ControllerHealthTest, GaugeDriftIsRejectedAndReCounted) {
   // estimate would be off by ~2 * 9.8 W * 30 s = ~590 J; with it the error
   // must stay a small fraction of that.
   double truth = director.TrueResidualJoules(odsim::SimTime::Seconds(50));
-  EXPECT_NE(director.telemetry_debit_joules(), 0.0);
+  EXPECT_NE(director.telemetry().debit_joules(), 0.0);
   EXPECT_NEAR(director.EstimatedResidualJoules(), truth, 150.0);
   director.Stop();
 }
@@ -235,7 +236,7 @@ TEST(ControllerHealthTest, FrozenFeedDetectedByStaleLimit) {
   monitor.telemetry_faults()->set_stale(true);
   sim.RunUntil(odsim::SimTime::Seconds(15));
   EXPECT_EQ(director.health(), ControllerHealth::kSafeMode);
-  EXPECT_GE(director.invalid_samples(), 1);
+  EXPECT_GE(director.telemetry().invalid_samples(), 1);
 
   monitor.telemetry_faults()->set_stale(false);
   sim.RunUntil(odsim::SimTime::Seconds(20));

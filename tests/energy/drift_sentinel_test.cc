@@ -1,13 +1,14 @@
 // Gauge-drift sentinel: the learned model as a cross-check on the gauge
 // (DESIGN.md §11).
 //
-// The regression at the heart of this file: PR 5's per-sample validation
-// bounds readings at max_plausible_watts (15 W).  A gauge whose scale
-// drifts by 1.2x reads the ~9.8 W laptop as ~11.8 W — inside the bound, so
-// every sample passes validation, health stays kHealthy, and the residual
-// estimate silently absorbs a ~20% energy bias.  The first test pins that
-// hole open (it is the documented behavior without the sentinel); the rest
-// prove the learned-model cross-check closes it.
+// The regression at the heart of this file: the telemetry guard's
+// per-sample validation bounds readings at kMaxPlausibleWatts (15 W).  A
+// gauge whose scale drifts by 1.2x reads the ~9.8 W laptop as ~11.8 W —
+// inside the bound, so every sample passes validation, health stays
+// kHealthy, and the residual estimate silently absorbs a ~20% energy bias.
+// The first test pins that hole open (it is the documented behavior
+// without the sentinel); the rest prove the learned-model cross-check
+// closes it.
 
 #include "src/energy/goal_director.h"
 
@@ -82,7 +83,7 @@ void ArmSubPlausibleStep(Rig& rig) {
 }
 
 // Red half of the regression pair: without the sentinel the 1.2x fault
-// sails through every PR 5 defense and biases the residual by the full
+// sails through every validation defense and biases the residual by the full
 // 0.2 * 9.8 W * 300 s ~ 590 J.  If this test ever starts failing because
 // validation rejects the samples, the sentinel tests below have lost their
 // reason to exist — re-examine both together.
@@ -96,8 +97,8 @@ TEST(DriftSentinelTest, SubPlausibleDriftPassesValidationSilently) {
   rig.sim.RunUntil(odsim::SimTime::Seconds(400));
   // Mid-fault: every defense is blind.
   EXPECT_EQ(director.health(), ControllerHealth::kHealthy);
-  EXPECT_EQ(director.invalid_samples(), 0);
-  EXPECT_EQ(director.safe_mode_entries(), 0);
+  EXPECT_EQ(director.telemetry().invalid_samples(), 0);
+  EXPECT_EQ(director.telemetry().safe_mode_entries(), 0);
   rig.sim.RunUntil(odsim::SimTime::Seconds(600));
   double truth = director.TrueResidualJoules(odsim::SimTime::Seconds(600));
   double bias = truth - director.EstimatedResidualJoules();
@@ -124,10 +125,10 @@ TEST(DriftSentinelTest, SentinelCatchesSubPlausibleDrift) {
   rig.sim.RunUntil(odsim::SimTime::Seconds(300));
   // Caught, while per-sample validation still sees nothing.
   EXPECT_EQ(director.health(), ControllerHealth::kGaugeDrift);
-  EXPECT_EQ(director.invalid_samples(), 0);
-  EXPECT_EQ(director.safe_mode_entries(), 0);
-  ASSERT_TRUE(director.first_drift_detected().has_value());
-  double detected = director.first_drift_detected()->seconds();
+  EXPECT_EQ(director.telemetry().invalid_samples(), 0);
+  EXPECT_EQ(director.telemetry().safe_mode_entries(), 0);
+  ASSERT_TRUE(director.drift_sentinel()->first_detected().has_value());
+  double detected = director.drift_sentinel()->first_detected()->seconds();
   EXPECT_GE(detected, 120.0);
   // The 20 s comparison window bounds detection latency: well under a
   // minute after onset.
@@ -137,8 +138,9 @@ TEST(DriftSentinelTest, SentinelCatchesSubPlausibleDrift) {
   // the verdict within seconds.
   rig.sim.RunUntil(odsim::SimTime::Seconds(440));
   EXPECT_EQ(director.health(), ControllerHealth::kHealthy);
-  EXPECT_EQ(director.drift_entries(), 1);
-  EXPECT_GT(director.DriftSeconds(odsim::SimTime::Seconds(440)), 200.0);
+  EXPECT_EQ(director.drift_sentinel()->entries(), 1);
+  EXPECT_GT(director.drift_sentinel()->Seconds(odsim::SimTime::Seconds(440)),
+            200.0);
 
   rig.sim.RunUntil(odsim::SimTime::Seconds(600));
   double truth = director.TrueResidualJoules(odsim::SimTime::Seconds(600));
@@ -146,7 +148,7 @@ TEST(DriftSentinelTest, SentinelCatchesSubPlausibleDrift) {
   // <= 10% of the ~590 J bias the unsentineled director absorbs.
   EXPECT_LE(error, 60.0);
   // The correction the sentinel charged back is most of that bias.
-  EXPECT_GT(director.drift_correction_joules(), 450.0);
+  EXPECT_GT(director.drift_sentinel()->correction_joules(), 450.0);
   director.Stop();
 }
 
@@ -175,15 +177,16 @@ TEST(DriftSentinelTest, SlowRampDriftDetectedWithinBoundedLatency) {
   director.Start(false);
 
   rig.sim.RunUntil(odsim::SimTime::Seconds(600));
-  ASSERT_TRUE(director.first_drift_detected().has_value());
-  double detected = director.first_drift_detected()->seconds();
+  ASSERT_TRUE(director.drift_sentinel()->first_detected().has_value());
+  double detected = director.drift_sentinel()->first_detected()->seconds();
   // The ramp crosses the 10% divergence band at ~100 s (scale 1.1); the
   // 20 s window average trails it.  Detection must land in that regime —
   // long before the ramp tops out, and never before the band is honestly
   // crossed.
   EXPECT_GE(detected, 95.0);
   EXPECT_LE(detected, 180.0);
-  EXPECT_EQ(director.invalid_samples(), 0);  // Still sub-plausible throughout.
+  // Still sub-plausible throughout.
+  EXPECT_EQ(director.telemetry().invalid_samples(), 0);
 
   // Residual error stays bounded even though the pre-detection creep
   // (scale < 1.1) is below anything the sentinel can see.
@@ -218,7 +221,7 @@ TEST(DriftSentinelTest, LearnedModelSeesCorruptedStreamNotAccounting) {
   double ratio = learned.last_predicted_watts() / true_watts;
   EXPECT_NEAR(ratio, 1.6, 0.05);
   // Gauge and model agree, so no drift verdict — by design.
-  EXPECT_EQ(director.drift_entries(), 0);
+  EXPECT_EQ(director.drift_sentinel()->entries(), 0);
   EXPECT_EQ(director.health(), ControllerHealth::kHealthy);
   director.Stop();
 }
@@ -226,12 +229,7 @@ TEST(DriftSentinelTest, LearnedModelSeesCorruptedStreamNotAccounting) {
 // Pure-class sentinel behavior: window arithmetic, the confidence gate, and
 // reset semantics, without a simulator.
 TEST(DriftSentinelTest, WindowVerdictRequiresConfidenceAndBand) {
-  DriftSentinelConfig config;
-  config.enabled = true;
-  config.window_seconds = 10.0;
-  config.divergence_band = 0.10;
-  config.min_window_joules = 5.0;
-  DriftSentinel sentinel(config);
+  DriftSentinel sentinel;
 
   auto feed = [&](int n, double gauge_w, double learned_w, bool confident) {
     for (int i = 0; i < n; ++i) {
@@ -240,38 +238,171 @@ TEST(DriftSentinelTest, WindowVerdictRequiresConfidenceAndBand) {
     }
   };
 
-  feed(20, 10.0, 10.0, true);
+  feed(40, 10.0, 10.0, true);
   EXPECT_FALSE(sentinel.Diverged());  // In band.
   EXPECT_NEAR(sentinel.WindowDivergence(), 0.0, 1e-12);
 
   // Divergent but unconfident intervals must not convict.
-  feed(20, 13.0, 10.0, false);
+  feed(40, 13.0, 10.0, false);
   EXPECT_FALSE(sentinel.Diverged());
 
   // Confident and out of band: verdict.
-  feed(20, 13.0, 10.0, true);
+  feed(40, 13.0, 10.0, true);
   EXPECT_TRUE(sentinel.Diverged());
   EXPECT_NEAR(sentinel.WindowDivergence(), 0.3, 1e-9);
-  EXPECT_NEAR(sentinel.WindowExcessJoules(), 30.0, 1e-9);
+  EXPECT_NEAR(sentinel.WindowExcessJoules(), 60.0, 1e-9);
 
   // Reset drops the evidence; a fresh window must refill before any new
   // verdict.
   sentinel.ResetWindow();
   EXPECT_FALSE(sentinel.Diverged());
-  feed(3, 13.0, 10.0, true);
+  feed(6, 13.0, 10.0, true);
   EXPECT_FALSE(sentinel.Diverged());  // Window not yet spanned.
 }
 
 TEST(DriftSentinelTest, UnderReadingGaugeConvictsToo) {
-  DriftSentinelConfig config;
-  config.enabled = true;
-  config.window_seconds = 10.0;
-  DriftSentinel sentinel(config);
-  for (int i = 0; i < 20; ++i) {
+  DriftSentinel sentinel;
+  for (int i = 0; i < 40; ++i) {
     sentinel.AddInterval(odsim::SimTime::Zero(), 1.0, 8.0, 10.0, true);
   }
   EXPECT_TRUE(sentinel.Diverged());
   EXPECT_LT(sentinel.WindowExcessJoules(), 0.0);  // Signed: under-read.
+}
+
+// -- The drift policy on its own ---------------------------------------------
+//
+// PolicyDriver feeds one-second intervals through the sentinel the way the
+// director does: the training decision first, then the verdict update.
+
+struct PolicyDriver {
+  DriftSentinel sentinel;
+  double t = 0.0;
+  int frozen = 0;  // Samples whose training the sentinel withheld.
+
+  // One sample; returns the demand rate the director would feed the
+  // predictor.
+  double Step(double gauge_w, double learned_w, bool confident) {
+    t += 1.0;
+    odsim::SimTime now = odsim::SimTime::Seconds(t);
+    if (!sentinel.AllowsTraining(now, confident)) {
+      ++frozen;
+    }
+    return sentinel.Judge(now, 1.0, gauge_w, learned_w, confident);
+  }
+  void Feed(int n, double gauge_w, double learned_w, bool confident) {
+    for (int i = 0; i < n; ++i) {
+      Step(gauge_w, learned_w, confident);
+    }
+  }
+};
+
+// 20 s in band, then 20 s at 1.3x: the window crosses the 10 % band on the
+// 7th divergent second, so 14 s accumulate toward the 25 s hold.
+void AccumulateFourteenSeconds(PolicyDriver& d) {
+  d.Feed(20, 10.0, 10.0, true);
+  EXPECT_DOUBLE_EQ(d.sentinel.out_of_band_seconds(), 0.0);
+  d.Feed(20, 13.0, 10.0, true);
+  EXPECT_DOUBLE_EQ(d.sentinel.out_of_band_seconds(), 14.0);
+  // Unconfident intervals displace confident ones; the 10 confident
+  // divergent seconds left still make a judgeable, diverged window.
+  d.Feed(10, 10.0, 10.0, false);
+  EXPECT_DOUBLE_EQ(d.sentinel.out_of_band_seconds(), 24.0);
+}
+
+TEST(DriftPolicyTest, EntryHoldSurvivesUnjudgeableWindows) {
+  PolicyDriver d;
+  AccumulateFourteenSeconds(d);
+  // Under half the window confident: unjudgeable, evidence of nothing.
+  d.Feed(4, 10.0, 10.0, false);
+  EXPECT_DOUBLE_EQ(d.sentinel.out_of_band_seconds(), 24.0);
+  // Confident in-band seconds refill the window; until they make a quorum
+  // the window stays unjudgeable and the count stands...
+  d.Feed(9, 10.0, 10.0, true);
+  EXPECT_DOUBLE_EQ(d.sentinel.out_of_band_seconds(), 24.0);
+  // ...and the first judgeable in-band window zeroes it.
+  d.Feed(1, 10.0, 10.0, true);
+  EXPECT_DOUBLE_EQ(d.sentinel.out_of_band_seconds(), 0.0);
+  EXPECT_FALSE(d.sentinel.drifting());
+  EXPECT_EQ(d.sentinel.entries(), 0);
+}
+
+TEST(DriftPolicyTest, FreshnessHorizonAgesTheCountOut) {
+  PolicyDriver d;
+  AccumulateFourteenSeconds(d);
+  // A window's span of sampled, unjudgeable time without fresh divergence
+  // ages the count out.
+  d.Feed(19, 10.0, 10.0, false);
+  EXPECT_DOUBLE_EQ(d.sentinel.out_of_band_seconds(), 24.0);
+  d.Feed(1, 10.0, 10.0, false);
+  EXPECT_DOUBLE_EQ(d.sentinel.out_of_band_seconds(), 0.0);
+  EXPECT_FALSE(d.sentinel.drifting());
+}
+
+TEST(DriftPolicyTest, ChargeBackIsWindowExcessPlusOverhang) {
+  PolicyDriver d;
+  d.Feed(20, 10.0, 10.0, true);
+  d.Feed(30, 13.0, 10.0, true);
+  EXPECT_DOUBLE_EQ(d.sentinel.out_of_band_seconds(), 24.0);
+  EXPECT_FALSE(d.sentinel.drifting());
+  // The 25th out-of-band second convicts, and the predictor is fed the
+  // learned rate from that sample on.
+  EXPECT_DOUBLE_EQ(d.Step(13.0, 10.0, true), 10.0);
+  ASSERT_TRUE(d.sentinel.drifting());
+  EXPECT_EQ(d.sentinel.entries(), 1);
+  EXPECT_EQ(d.sentinel.first_detected(), odsim::SimTime::Seconds(51));
+  // Window excess 20 s x 3 W = 60 J, plus the 5 s the hold ran past the
+  // window charged at the window's rate: 60 + 5 * 60 / 20 = 75 J.
+  EXPECT_DOUBLE_EQ(d.sentinel.correction_joules(), 75.0);
+  // Under the verdict each sample's excess is charged as it accrues.
+  EXPECT_DOUBLE_EQ(d.Step(13.0, 10.0, true), 10.0);
+  EXPECT_DOUBLE_EQ(d.sentinel.correction_joules(), 78.0);
+}
+
+TEST(DriftPolicyTest, FreezeBudgetExpires) {
+  PolicyDriver d;
+  d.Feed(20, 10.0, 10.0, true);  // A judgeable in-band window: proven.
+  // 7 % excess: suspicious (past half the band) but never a verdict.
+  // Suspicion starts on the 16th second and freezes training for the
+  // 60 s budget — 61 samples, 0 to 60 s into it — then training resumes
+  // although the suspicion stands.
+  d.Feed(200, 10.7, 10.0, true);
+  EXPECT_EQ(d.frozen, 61);
+  EXPECT_FALSE(d.sentinel.drifting());
+}
+
+TEST(DriftPolicyTest, ProvenLatchBlocksEarlySuspicion) {
+  PolicyDriver d;
+  // The same 7 % excess from the first sample: while the window is still
+  // filling, the model has proven nothing, so divergence is the fit
+  // settling and training goes on.
+  d.Feed(20, 10.7, 10.0, true);
+  EXPECT_EQ(d.frozen, 0);
+  // The first full window is judgeable and inside the band, which proves
+  // the model; from then on the same divergence is suspicious.
+  d.Feed(1, 10.7, 10.0, true);
+  EXPECT_EQ(d.frozen, 1);
+}
+
+// An armed sentinel or learned handoff with no estimator attached would do
+// nothing, and its arm of an ablation would silently equal the unarmed one.
+TEST(DriftSentinelDeathTest, SentinelWithoutEstimatorIsRejected) {
+  Rig rig;
+  odpower::EnergySupply supply(&rig.laptop->accounting(), 1.0e4);
+  GoalDirectorConfig config;
+  config.drift_sentinel.enabled = true;
+  GoalDirector director(&rig.viceroy, &supply, &rig.monitor,
+                        odsim::SimTime::Seconds(600), config);
+  EXPECT_DEATH(director.Start(false), "OD_CHECK failed");
+}
+
+TEST(DriftSentinelDeathTest, HandoffWithoutEstimatorIsRejected) {
+  Rig rig;
+  odpower::EnergySupply supply(&rig.laptop->accounting(), 1.0e4);
+  GoalDirectorConfig config;
+  config.learned_primary_when_converged = true;
+  GoalDirector director(&rig.viceroy, &supply, &rig.monitor,
+                        odsim::SimTime::Seconds(600), config);
+  EXPECT_DEATH(director.Start(false), "OD_CHECK failed");
 }
 
 }  // namespace
