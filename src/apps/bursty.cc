@@ -43,6 +43,7 @@ void BurstyWorkload::Start() {
     }
   }
   MinuteTick();
+  tick_ = sim_->Every(config_.minute, [this] { MinuteTick(); });
 }
 
 void BurstyWorkload::Stop() {
@@ -51,9 +52,6 @@ void BurstyWorkload::Stop() {
 }
 
 void BurstyWorkload::MinuteTick() {
-  if (!running_) {
-    return;
-  }
   odsim::SimTime now = sim_->Now();
   if (!config_.replay.empty()) {
     size_t index = std::min(minute_index_, config_.replay.minutes.size() - 1);
@@ -84,7 +82,6 @@ void BurstyWorkload::MinuteTick() {
   if (map_active() && !chain_running_[kMap]) {
     DriveMap(active_until_[kMap]);
   }
-  tick_ = sim_->Schedule(config_.minute, [this] { MinuteTick(); });
 }
 
 void BurstyWorkload::DriveVideo() {

@@ -92,7 +92,7 @@ class BurstyWorkload {
   std::array<odsim::SimTime, 4> active_until_ = {};
   std::array<bool, 4> chain_running_ = {false, false, false, false};
   std::array<int, 4> next_object_ = {0, 0, 0, 0};
-  odsim::EventHandle tick_;
+  odsim::PeriodicHandle tick_;
 };
 
 }  // namespace odapps

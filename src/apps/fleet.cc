@@ -206,16 +206,13 @@ FleetResult RunFleetScenario(const FleetOptions& options) {
     sim.Schedule(phase, [&fetch_tick, i] { fetch_tick(i); });
   }
 
-  std::function<void()> probe_tick;
   if (options.device_probe) {
-    probe_tick = [&] {
+    sim.Every(odsim::SimDuration::Seconds(1), [&] {
       for (int i = 0; i < options.clients; ++i) {
         options.device_probe(i, sim.Now(), *devices[i]->laptop,
                              *devices[i]->supply);
       }
-      sim.ScheduleFixedDelay(odsim::SimDuration::Seconds(1), probe_tick);
-    };
-    sim.ScheduleFixedDelay(odsim::SimDuration::Seconds(1), probe_tick);
+    });
   }
 
   sim.RunUntil(start + options.goal + options.run_slack);

@@ -140,13 +140,9 @@ GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
   }
 
   // Optional 1 Hz probe (chaos-soak invariant checks).
-  std::function<void()> probe;
   if (options.tick_probe) {
-    probe = [&] {
-      options.tick_probe(bed, supply);
-      bed.sim().ScheduleFixedDelay(odsim::SimDuration::Seconds(1), probe);
-    };
-    bed.sim().ScheduleFixedDelay(odsim::SimDuration::Seconds(1), probe);
+    bed.sim().Every(odsim::SimDuration::Seconds(1),
+                    [&] { options.tick_probe(bed, supply); });
   }
 
   if (bw_monitor != nullptr) {

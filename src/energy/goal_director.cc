@@ -52,12 +52,8 @@ void GoalDirector::Start(bool stop_sim_on_completion) {
     OnPowerSample(now, watts);
   });
   monitor_->Start();
-  ArmEvaluation();
-}
-
-void GoalDirector::ArmEvaluation() {
-  next_eval_ = viceroy_->sim()->ScheduleFixedDelay(config_.evaluation_period,
-                                                   [this] { Evaluate(); });
+  next_eval_ = viceroy_->sim()->Every(config_.evaluation_period,
+                                      [this] { Evaluate(); });
 }
 
 void GoalDirector::Stop() {
@@ -221,9 +217,6 @@ odyssey::AdaptiveApplication* GoalDirector::PickTarget(bool degrade) const {
 }
 
 void GoalDirector::Evaluate() {
-  if (!running_) {
-    return;
-  }
   odsim::SimTime now = viceroy_->sim()->Now();
 
   double residual_true = supply_->ResidualJoules(now);
@@ -255,7 +248,6 @@ void GoalDirector::Evaluate() {
     // telemetry would be noise.  Completion checks above still run — they
     // use the true supply, not telemetry.
     infeasible_since_.reset();
-    ArmEvaluation();
     return;
   }
 
@@ -305,8 +297,6 @@ void GoalDirector::Evaluate() {
   } else {
     infeasible_since_.reset();
   }
-
-  ArmEvaluation();
 }
 
 void GoalDirector::Complete(GoalOutcome outcome) {

@@ -174,8 +174,6 @@ class GoalDirector {
  private:
   void OnPowerSample(odsim::SimTime now, double watts);
   void Evaluate();
-  // Schedules the next Evaluate one evaluation period from now.
-  void ArmEvaluation();
   void Complete(GoalOutcome outcome);
   // Acts on safe mode the guard entered or lifted: the clamp and the log.
   void EngageSafeMode(odsim::SimTime now, const char* reason);
@@ -195,7 +193,7 @@ class GoalDirector {
   bool running_ = false;
   bool stop_sim_on_completion_ = true;
   GoalOutcome outcome_ = GoalOutcome::kRunning;
-  odsim::EventHandle next_eval_;
+  odsim::PeriodicHandle next_eval_;
   std::optional<odsim::SimTime> last_degrade_;
 
   TelemetryGuard guard_;

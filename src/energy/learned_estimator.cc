@@ -140,7 +140,7 @@ double DriftSentinel::Judge(odsim::SimTime now, double dt_seconds,
     }
     return learned_watts;
   }
-  AddInterval(now, dt_seconds, gauge_watts * dt_seconds,
+  AddInterval(dt_seconds, gauge_watts * dt_seconds,
               learned_watts * dt_seconds, model_confident);
   // Entry hysteresis: the hold's worth of out-of-band time must
   // *accumulate* — longer than the window itself — before the verdict
@@ -247,14 +247,12 @@ void DriftSentinel::Totals::Add(const Totals& span, double sign) {
   learned_joules += sign * span.learned_joules;
 }
 
-void DriftSentinel::AddInterval(odsim::SimTime now, double dt_seconds,
-                                double gauge_joules, double learned_joules,
-                                bool model_confident) {
+void DriftSentinel::AddInterval(double dt_seconds, double gauge_joules,
+                                double learned_joules, bool model_confident) {
   if (dt_seconds <= 0.0) {
     return;
   }
-  Interval added{now, {dt_seconds, gauge_joules, learned_joules},
-                 model_confident};
+  Interval added{{dt_seconds, gauge_joules, learned_joules}, model_confident};
   window_.push_back(added);
   total_.Add(added.span, 1.0);
   if (added.confident) {

@@ -219,9 +219,9 @@ class DriftSentinel {
 
   // Feeds one sample interval: `gauge_joules` as integrated from the
   // delivered reading, `learned_joules` as predicted by the model, over
-  // `dt_seconds` ending at `now`.  `model_confident` gates verdicts — an
-  // unconverged model diverges from everything.
-  void AddInterval(odsim::SimTime now, double dt_seconds, double gauge_joules,
+  // `dt_seconds`.  `model_confident` gates verdicts — an unconverged model
+  // diverges from everything.
+  void AddInterval(double dt_seconds, double gauge_joules,
                    double learned_joules, bool model_confident);
 
   // Current window divergence verdict: true when the window is judgeable
@@ -255,7 +255,6 @@ class DriftSentinel {
     void Add(const Totals& span, double sign);
   };
   struct Interval {
-    odsim::SimTime end;
     Totals span;
     bool confident = false;
   };

@@ -118,7 +118,7 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioOptions& options) {
   bed.video().PlayLooping(odapps::StandardVideoClips()[0]);
 
   // 1 s sampler for clamp time and fidelity floors.
-  std::function<void()> sample = [&] {
+  bed.sim().Every(odsim::SimDuration::Seconds(1), [&] {
     if (bed.viceroy().link_clamped()) {
       result.clamped_seconds += 1.0;
     }
@@ -128,9 +128,7 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioOptions& options) {
         std::min(result.min_web_fidelity, bed.web().current_fidelity());
     result.min_map_fidelity =
         std::min(result.min_map_fidelity, bed.map().current_fidelity());
-    bed.sim().Schedule(odsim::SimDuration::Seconds(1), sample);
-  };
-  bed.sim().Schedule(odsim::SimDuration::Seconds(1), sample);
+  });
 
   odapps::TestBed::Measurement m = bed.MeasureFor(options.duration);
   bed.video().StopLooping();

@@ -19,7 +19,7 @@ void BandwidthMonitor::Start() {
   observations_.clear();
   observations_.push_back(Observation{sim_->Now(), link_->total_bytes(),
                                       link_->total_busy_seconds()});
-  next_ = sim_->Schedule(config_.period, [this] { Tick(); });
+  next_ = sim_->Every(config_.period, [this] { Tick(); });
 }
 
 void BandwidthMonitor::Stop() {
@@ -66,9 +66,6 @@ BandwidthEstimate BandwidthMonitor::Estimate() const {
 }
 
 void BandwidthMonitor::Tick() {
-  if (!running_) {
-    return;
-  }
   odsim::SimTime now = sim_->Now();
   observations_.push_back(
       Observation{now, link_->total_bytes(), link_->total_busy_seconds()});
@@ -82,7 +79,6 @@ void BandwidthMonitor::Tick() {
       health_callback_(now, estimate);
     }
   }
-  next_ = sim_->Schedule(config_.period, [this] { Tick(); });
 }
 
 }  // namespace odnet

@@ -80,7 +80,7 @@ class BandwidthMonitor {
   Link* link_;
   BandwidthMonitorConfig config_;
   bool running_ = false;
-  odsim::EventHandle next_;
+  odsim::PeriodicHandle next_;
   EstimateFn callback_;
   HealthFn health_callback_;
 

@@ -18,7 +18,7 @@ Battery::Battery(odsim::Simulator* sim, EnergyAccounting* accounting,
   OD_CHECK(config.tick > odsim::SimDuration::Zero());
   last_tick_ = sim_->Now();
   last_platform_joules_ = accounting_->TotalJoules(last_tick_);
-  next_ = sim_->Schedule(config_.tick, [this] { Tick(); });
+  next_ = sim_->Every(config_.tick, [this] { Tick(); });
 }
 
 double Battery::EffectiveDrainWatts(double draw_watts) const {
@@ -33,9 +33,6 @@ double Battery::EffectiveDrainWatts(double draw_watts) const {
 }
 
 void Battery::Tick() {
-  if (!running_) {
-    return;
-  }
   odsim::SimTime now = sim_->Now();
   double platform = accounting_->TotalJoules(now);
   double dt = (now - last_tick_).seconds();
@@ -47,7 +44,6 @@ void Battery::Tick() {
   }
   last_tick_ = now;
   last_platform_joules_ = platform;
-  next_ = sim_->Schedule(config_.tick, [this] { Tick(); });
 }
 
 double Battery::ResidualJoules(odsim::SimTime now) {
@@ -64,7 +60,6 @@ double Battery::ResidualJoules(odsim::SimTime now) {
 }
 
 void Battery::Stop() {
-  running_ = false;
   next_.Cancel();
 }
 

@@ -75,8 +75,7 @@ class Battery {
   double last_platform_joules_;
   double drained_joules_ = 0.0;
   double loss_joules_ = 0.0;
-  bool running_ = true;
-  odsim::EventHandle next_;
+  odsim::PeriodicHandle next_;
 };
 
 }  // namespace odpower

@@ -19,6 +19,8 @@ void Multimeter::Start() {
   OD_CHECK(!running_);
   running_ = true;
   TakeSample();
+  next_ = sim_->Every(odsim::SimDuration::Seconds(1.0 / config_.sample_rate_hz),
+                      [this] { TakeSample(); });
 }
 
 void Multimeter::Stop() {
@@ -27,9 +29,6 @@ void Multimeter::Stop() {
 }
 
 void Multimeter::TakeSample() {
-  if (!running_) {
-    return;
-  }
   double amps = machine_->TotalPower() / config_.supply_volts;
   if (config_.noise_amps > 0.0) {
     amps = std::max(0.0, rng_.Normal(amps, config_.noise_amps));
@@ -38,8 +37,6 @@ void Multimeter::TakeSample() {
   if (trigger_) {
     trigger_(sim_->Now());
   }
-  next_ = sim_->Schedule(odsim::SimDuration::Seconds(1.0 / config_.sample_rate_hz),
-                         [this] { TakeSample(); });
 }
 
 }  // namespace odscope

@@ -58,7 +58,7 @@ class Multimeter {
   MultimeterConfig config_;
   odutil::Rng rng_;
   bool running_ = false;
-  odsim::EventHandle next_;
+  odsim::PeriodicHandle next_;
   TriggerFn trigger_;
   std::vector<CurrentSample> samples_;
 };

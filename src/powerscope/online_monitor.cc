@@ -23,6 +23,7 @@ void OnlineMonitor::Start() {
   has_delivered_ = false;
   anchor_ = sim_->Now();
   TakeSample();
+  next_ = sim_->Every(config_.period, [this] { TakeSample(); });
 }
 
 void OnlineMonitor::Stop() {
@@ -38,9 +39,6 @@ void OnlineMonitor::Stop() {
 }
 
 void OnlineMonitor::TakeSample() {
-  if (!running_) {
-    return;
-  }
   odsim::SimTime now = sim_->Now();
   double watts = machine_->TotalPower();
   if (config_.noise_watts > 0.0) {
@@ -53,7 +51,6 @@ void OnlineMonitor::TakeSample() {
     // interval ending here is a hole in the estimate.  The sampling
     // clock keeps ticking so recovery needs no re-arming.
     anchor_ = now;
-    next_ = sim_->ScheduleFixedDelay(config_.period, [this] { TakeSample(); });
     return;
   }
   watts = *delivered;
@@ -76,7 +73,6 @@ void OnlineMonitor::TakeSample() {
   if (callback_) {
     callback_(now, watts);
   }
-  next_ = sim_->ScheduleFixedDelay(config_.period, [this] { TakeSample(); });
 }
 
 }  // namespace odscope

@@ -64,7 +64,7 @@ class OnlineMonitor : public PowerMonitor {
   // End of the last integrated (or skipped) interval: energy is charged
   // for trailing intervals only, at the power reading that opened them.
   odsim::SimTime anchor_;
-  odsim::EventHandle next_;
+  odsim::PeriodicHandle next_;
   double last_watts_ = 0.0;
   double measured_joules_ = 0.0;
   SampleFn callback_;

@@ -1,5 +1,7 @@
 #include "src/sim/event_queue.h"
 
+#include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "src/util/check.h"
@@ -23,6 +25,12 @@ bool EventHandle::pending() const {
   return queue_ != nullptr && queue_->SlotPending(slot_, gen_);
 }
 
+void PeriodicHandle::Cancel() {
+  if (queue_ != nullptr) {
+    queue_->CancelSubscriber(tick_, gen_, id_);
+  }
+}
+
 uint32_t EventQueue::AllocSlot() {
   if (free_head_ != kNoSlot) {
     uint32_t slot = free_head_;
@@ -38,7 +46,6 @@ inline void EventQueue::FreeSlot(uint32_t slot) const {
   Slot& s = slots_[slot];
   s.fn = nullptr;
   s.cancelled = false;
-  s.lane = kHeapLane;
   ++s.gen;
   s.next_free = free_head_;
   free_head_ = slot;
@@ -99,43 +106,112 @@ EventHandle EventQueue::Push(SimTime at, EventFn fn) {
   return EventHandle(this, slot, s.gen);
 }
 
-void EventQueue::Lane::Grow() {
-  std::vector<HeapEntry> grown(ring.empty() ? 16 : ring.size() * 2);
-  for (size_t i = 0; i < count; ++i) {
-    grown[i] = at(i);
+PeriodicHandle EventQueue::Every(SimTime now, SimDuration period, EventFn fn) {
+  // A subscriber's closure runs in place inside its tick's vector, and a
+  // callback that opens a tick may grow ticks_: moving a Tick must keep its
+  // subs buffer, which only a non-throwing move guarantees.
+  static_assert(std::is_nothrow_move_constructible_v<Tick>);
+  OD_CHECK(period > SimDuration::Zero());
+  const SimTime at = now + period;
+  // Join the latest-keyed match: a subscriber re-arming itself would take
+  // a sequence number after every event already due at `at`.  (Two ticks
+  // share a period and time when one opened while the other was firing.)
+  size_t index = ticks_.size();
+  for (size_t i = 0; i < ticks_.size(); ++i) {
+    const Tick& t = ticks_[i];
+    if (!t.subs.empty() && t.period == period && t.key.time == at &&
+        (index == ticks_.size() ||
+         t.key.seq_slot > ticks_[index].key.seq_slot)) {
+      index = i;
+    }
   }
-  ring.swap(grown);
-  head = 0;
+  if (index == ticks_.size()) {
+    index = 0;
+    while (index < ticks_.size() && !ticks_[index].subs.empty()) {
+      ++index;
+    }
+    if (index == ticks_.size()) {
+      ticks_.emplace_back();
+    }
+    ticks_[index].period = period;
+    ticks_[index].key = HeapEntry{at, next_seq_++ << kSlotBits};
+  }
+  Tick& t = ticks_[index];
+  t.subs.push_back(Subscriber{std::move(fn), t.next_id});
+  RescanTicks();
+  return PeriodicHandle(this, static_cast<uint32_t>(index), t.gen,
+                        t.next_id++);
 }
 
-EventHandle EventQueue::PushLane(SimTime now, SimDuration delay, EventFn fn) {
-  const SimTime at = now + delay;
-  size_t index = 0;
-  while (index < lanes_.size() && lanes_[index].delay != delay) {
-    ++index;
+void EventQueue::CancelSubscriber(uint32_t tick, uint32_t gen, uint32_t id) {
+  if (tick >= ticks_.size() || ticks_[tick].gen != gen) {
+    return;  // The tick was freed (and maybe reused) since.
   }
-  if (index == lanes_.size()) {
-    if (index == kMaxLanes) {
-      return Push(at, std::move(fn));
+  Tick& t = ticks_[tick];
+  auto it = std::lower_bound(
+      t.subs.begin(), t.subs.end(), id,
+      [](const Subscriber& s, uint32_t v) { return s.id < v; });
+  if (it == t.subs.end() || it->id != id || it->cancelled) {
+    return;
+  }
+  it->cancelled = true;
+  ++t.cancelled;
+  if (t.cursor != 0) {
+    return;  // Firing: the closure may be running; FireTick erases it.
+  }
+  it->fn = nullptr;
+  if (t.cancelled == t.subs.size()) {
+    FreeTick(tick);
+  }
+}
+
+void EventQueue::FreeTick(uint32_t tick) {
+  Tick& t = ticks_[tick];
+  t.subs.clear();
+  t.cancelled = 0;
+  t.next_id = 0;
+  ++t.gen;
+  RescanTicks();
+}
+
+void EventQueue::RescanTicks() {
+  tick_front_ = kNoSource;
+  for (size_t i = 0; i < ticks_.size(); ++i) {
+    const Tick& t = ticks_[i];
+    if (!t.subs.empty() && (tick_front_ == kNoSource ||
+                            EarlierEntry(t.key, ticks_[tick_front_].key))) {
+      tick_front_ = static_cast<int>(i);
     }
-    lanes_.push_back(Lane{delay});
   }
-  Lane& lane = lanes_[index];
-  // The O(1) push is exact only while the lane stays sorted: the new
-  // entry must not be earlier than the back (the fresh seq breaks ties).
-  OD_CHECK(lane.count == 0 || at >= lane.back().time);
-  uint32_t slot = AllocSlot();
-  Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  s.lane = static_cast<uint8_t>(index);
-  lane.PushBack(HeapEntry{at, (next_seq_++ << kSlotBits) | uint64_t{slot}});
-  // Only this lane's front can have appeared.
-  if (lane.count == 1 &&
-      (lane_front_ == kNoSource ||
-       EarlierEntry(lane.front(), lanes_[lane_front_].front()))) {
-    lane_front_ = static_cast<int>(index);
+}
+
+void EventQueue::FireTick(uint32_t tick, const bool& stopped) {
+  for (;;) {
+    // Re-read every pass: a callback that opens a tick may grow ticks_.
+    Tick& t = ticks_[tick];
+    while (t.cursor < t.subs.size() && t.subs[t.cursor].cancelled) {
+      ++t.cursor;
+    }
+    if (t.cursor == t.subs.size()) {
+      break;
+    }
+    if (stopped) {
+      return;
+    }
+    t.subs[t.cursor++].fn();
   }
-  return EventHandle(this, slot, s.gen);
+  Tick& t = ticks_[tick];
+  t.cursor = 0;
+  if (t.cancelled != 0) {
+    std::erase_if(t.subs, [](const Subscriber& s) { return s.cancelled; });
+    t.cancelled = 0;
+  }
+  if (t.subs.empty()) {
+    FreeTick(tick);
+    return;
+  }
+  t.key = HeapEntry{t.key.time + t.period, next_seq_++ << kSlotBits};
+  RescanTicks();
 }
 
 void EventQueue::CancelSlot(uint32_t slot, uint32_t gen) {
@@ -148,15 +224,6 @@ void EventQueue::CancelSlot(uint32_t slot, uint32_t gen) {
   }
   s.cancelled = true;
   s.fn = nullptr;  // Release the closure (and anything it keeps alive) now.
-  if (s.lane != kHeapLane) {
-    Lane& lane = lanes_[s.lane];
-    ++lane.cancelled;
-    if (lane.cancelled >= kCompactMinCancelled &&
-        lane.cancelled * 2 > lane.count) {
-      CompactLane(lane);
-    }
-    return;
-  }
   ++cancelled_pending_;
   if (cancelled_pending_ >= kCompactMinCancelled &&
       cancelled_pending_ * 2 > heap_.size()) {
@@ -190,69 +257,31 @@ void EventQueue::Compact() {
   cancelled_pending_ = 0;
 }
 
-void EventQueue::CompactLane(Lane& lane) {
-  size_t kept = 0;
-  for (size_t i = 0; i < lane.count; ++i) {
-    const HeapEntry e = lane.at(i);
-    if (slots_[e.slot()].cancelled) {
-      FreeSlot(e.slot());
-    } else {
-      lane.at(kept++) = e;
-    }
-  }
-  lane.count = kept;
-  lane.cancelled = 0;
-  RescanLanes();
-}
-
-inline void EventQueue::RescanLanes() const {
-  lane_front_ = kNoSource;
-  for (size_t i = 0; i < lanes_.size(); ++i) {
-    const Lane& lane = lanes_[i];
-    if (lane.count != 0 &&
-        (lane_front_ == kNoSource ||
-         EarlierEntry(lane.front(), lanes_[lane_front_].front()))) {
-      lane_front_ = static_cast<int>(i);
-    }
-  }
-}
-
 inline int EventQueue::Front() const {
-  for (;;) {
-    int best = heap_.empty() ? kNoSource : kHeapSource;
-    if (lane_front_ != kNoSource &&
-        (best == kNoSource ||
-         EarlierEntry(lanes_[lane_front_].front(), heap_.front()))) {
-      best = lane_front_;
-    }
-    if (best == kNoSource || !slots_[FrontEntry(best).slot()].cancelled) {
-      return best;
-    }
-    if (best == kHeapSource) {
-      --cancelled_pending_;
-    } else {
-      --lanes_[best].cancelled;
-    }
-    RemoveFront(best);
-  }
-}
-
-inline void EventQueue::RemoveFront(int source) const {
-  uint32_t slot = FrontEntry(source).slot();
-  if (source == kHeapSource) {
+  while (!heap_.empty() && slots_[heap_.front().slot()].cancelled) {
+    uint32_t slot = heap_.front().slot();
     RemoveTop();
-  } else {
-    lanes_[source].PopFront();
-    RescanLanes();
+    FreeSlot(slot);
+    --cancelled_pending_;
   }
-  FreeSlot(slot);
+  if (tick_front_ != kNoSource &&
+      (heap_.empty() || EarlierEntry(ticks_[tick_front_].key, heap_.front()))) {
+    return tick_front_;
+  }
+  return heap_.empty() ? kNoSource : kHeapSource;
 }
 
 inline void EventQueue::TakeFront(int source, Popped* out) {
-  const HeapEntry& front = FrontEntry(source);
-  out->time = front.time;
-  out->fn = std::move(slots_[front.slot()].fn);
-  RemoveFront(source);
+  out->time = FrontTime(source);
+  if (source != kHeapSource) {
+    out->tick = static_cast<uint32_t>(source);
+    return;
+  }
+  out->tick = kNoTick;
+  uint32_t slot = heap_.front().slot();
+  out->fn = std::move(slots_[slot].fn);
+  RemoveTop();
+  FreeSlot(slot);
 }
 
 bool EventQueue::empty() const { return Front() == kNoSource; }
@@ -260,7 +289,7 @@ bool EventQueue::empty() const { return Front() == kNoSource; }
 SimTime EventQueue::NextTime() const {
   int source = Front();
   OD_CHECK(source != kNoSource);
-  return FrontEntry(source).time;
+  return FrontTime(source);
 }
 
 EventQueue::Popped EventQueue::Pop() {
@@ -273,19 +302,11 @@ EventQueue::Popped EventQueue::Pop() {
 
 bool EventQueue::PopIfAtOrBefore(SimTime deadline, Popped* out) {
   int source = Front();
-  if (source == kNoSource || FrontEntry(source).time > deadline) {
+  if (source == kNoSource || FrontTime(source) > deadline) {
     return false;
   }
   TakeFront(source, out);
   return true;
-}
-
-size_t EventQueue::lane_capacity_for_testing() const {
-  size_t capacity = 0;
-  for (const Lane& lane : lanes_) {
-    capacity += lane.ring.size();
-  }
-  return capacity;
 }
 
 }  // namespace odsim

@@ -11,13 +11,14 @@
 // up the heap is compacted in one pass, so cancel-heavy workloads (RPC
 // deadline timers that are almost always cancelled) stay bounded.
 //
-// Fixed-delay lanes take self-rescheduling periodic timers off the heap.
-// A lane is a FIFO of the same {time, seq|slot} entries, all pushed at
-// now + d for one delay d.  With a non-decreasing now and a fresh sequence
-// number per push, each push is later than the lane's back, so the lane is
-// sorted by construction and pushing to it is O(1).  Pop takes the
-// earliest of the heap top and the lane fronts by the same (time, seq)
-// key, so the pop sequence is exactly the one an all-heap queue gives.
+// Periodic ticks take constant-period timers off the heap.  A tick is a
+// group of subscribers that share one period and one next call time; it
+// holds a single pending {time, seq} key from the same sequence counter,
+// kept outside the heap.  Pop takes the earlier of the heap top and the
+// earliest tick by that key, and firing a tick calls its subscribers in
+// subscription order, then re-arms the key one period later with a fresh
+// sequence number: the one a lone timer scheduling its next call at the
+// end of its callback would take, so such a timer keeps its order.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -34,6 +35,28 @@ namespace odsim {
 using EventFn = std::function<void()>;
 
 class EventQueue;
+
+// Handle that unsubscribes a periodic callback (see EventQueue::Every).
+// Same lifetime rule as EventHandle.
+class PeriodicHandle {
+ public:
+  PeriodicHandle() = default;
+
+  // Stops further calls.  Idempotent, and inert once the tick's group is
+  // freed.  Safe from inside the callback itself: the closure is destroyed
+  // only after the tick has called every subscriber.
+  void Cancel();
+
+ private:
+  friend class EventQueue;
+  PeriodicHandle(EventQueue* queue, uint32_t tick, uint32_t gen, uint32_t id)
+      : queue_(queue), tick_(tick), gen_(gen), id_(id) {}
+
+  EventQueue* queue_ = nullptr;
+  uint32_t tick_ = 0;
+  uint32_t gen_ = 0;
+  uint32_t id_ = 0;
+};
 
 // Handle that allows cancelling a scheduled event.  Copyable; all copies
 // refer to the same event.  A handle is only valid while its queue is
@@ -68,12 +91,12 @@ class EventQueue {
   // Inserts an event; returns a handle usable for cancellation.
   EventHandle Push(SimTime at, EventFn fn);
 
-  // Inserts an event at now + delay on the FIFO lane for `delay`.  `now`
-  // must never decrease between calls (the simulator clock guarantees
-  // this).  Same handle semantics and pop order as Push(now + delay, fn);
-  // only the cost differs.  Once kMaxLanes distinct delays hold lanes,
-  // further delays go to the heap.
-  EventHandle PushLane(SimTime now, SimDuration delay, EventFn fn);
+  // Calls `fn` at now + period and every period after that.  Joins the
+  // tick with this period whose next call is at now + period, behind its
+  // subscribers, or opens a new tick.  A tick that is firing has already
+  // passed that time, so nothing joins it mid-call.  `now` must never
+  // decrease between calls (the simulator clock guarantees this).
+  PeriodicHandle Every(SimTime now, SimDuration period, EventFn fn);
 
   bool empty() const;
 
@@ -81,9 +104,13 @@ class EventQueue {
   SimTime NextTime() const;
 
   // Removes and returns the earliest non-cancelled event.  Requires !empty().
+  // When the earliest is a tick, `tick` names it and `fn` is unset; the
+  // tick keeps its key until FireTick has called every subscriber.
+  static constexpr uint32_t kNoTick = UINT32_MAX;
   struct Popped {
     SimTime time;
     EventFn fn;
+    uint32_t tick = kNoTick;
   };
   Popped Pop();
 
@@ -93,17 +120,20 @@ class EventQueue {
   // event instead of three (empty / NextTime / Pop).
   bool PopIfAtOrBefore(SimTime deadline, Popped* out);
 
+  // Calls the subscribers of the popped `tick` in subscription order,
+  // starting where a stopped call left off.  Once `stopped` is set, stops
+  // before the next live subscriber and keeps the tick's key, so the next
+  // pop resumes it; otherwise re-arms the tick one period later, or frees
+  // it when no subscriber is left.
+  void FireTick(uint32_t tick, const bool& stopped);
+
   size_t size_for_testing() const { return heap_.size(); }
   // Cancelled entries still occupying the heap (awaiting skip/compaction).
-  // Lane entries never count here.
   size_t cancelled_count_for_testing() const { return cancelled_pending_; }
-  // Entries the lanes can hold without growing, summed over lanes.
-  size_t lane_capacity_for_testing() const;
-
-  static constexpr size_t kMaxLanes = 8;
 
  private:
   friend class EventHandle;
+  friend class PeriodicHandle;
 
   static constexpr uint32_t kNoSlot = UINT32_MAX;
 
@@ -129,44 +159,31 @@ class EventQueue {
     }
     return a.seq_slot < b.seq_slot;
   }
-  static constexpr uint8_t kHeapLane = UINT8_MAX;
   struct Slot {
     EventFn fn;
     uint32_t gen = 0;
     bool cancelled = false;
-    uint8_t lane = kHeapLane;  // Where the slot's entry waits.
     uint32_t next_free = kNoSlot;
   };
 
-  // Ring buffer of entries in (time, seq) order.  Capacity is a power of
-  // two, at most max(16, 2 × the lane's peak entry count).
-  struct Lane {
-    SimDuration delay;
-    std::vector<HeapEntry> ring;
-    size_t head = 0;
-    size_t count = 0;
+  struct Subscriber {
+    EventFn fn;
+    uint32_t id;  // Increasing within a tick, so subs stay sorted by id.
+    bool cancelled = false;
+  };
+  struct Tick {
+    HeapEntry key;  // {next call time, seq << kSlotBits}.
+    SimDuration period;
+    std::vector<Subscriber> subs;
+    // Next subscriber to call; nonzero exactly while the tick is firing
+    // (or stopped mid-call).
+    size_t cursor = 0;
     size_t cancelled = 0;
-
-    HeapEntry& at(size_t i) { return ring[(head + i) & (ring.size() - 1)]; }
-    const HeapEntry& front() const { return ring[head]; }
-    const HeapEntry& back() const {
-      return ring[(head + count - 1) & (ring.size() - 1)];
-    }
-    void PushBack(const HeapEntry& e) {
-      if (count == ring.size()) {
-        Grow();
-      }
-      ring[(head + count) & (ring.size() - 1)] = e;
-      ++count;
-    }
-    void Grow();
-    void PopFront() {
-      head = (head + 1) & (ring.size() - 1);
-      --count;
-    }
+    uint32_t gen = 0;  // Bumped when the tick is freed.
+    uint32_t next_id = 0;
   };
 
-  // Front() result: the heap, a lane index, or nothing pending.
+  // Front() result: the heap, a tick index, or nothing pending.
   static constexpr int kHeapSource = -1;
   static constexpr int kNoSource = -2;
 
@@ -179,10 +196,11 @@ class EventQueue {
   bool SlotPending(uint32_t slot, uint32_t gen) const;
   // One-pass removal of all cancelled entries followed by a heap rebuild.
   void Compact();
-  // Same for one lane; survivors keep their order.
-  void CompactLane(Lane& lane);
-  // Recomputes lane_front_ after a lane's front moved back.
-  void RescanLanes() const;
+  void CancelSubscriber(uint32_t tick, uint32_t gen, uint32_t id);
+  // Destroys the tick's closures and bumps its generation.
+  void FreeTick(uint32_t tick);
+  // Recomputes tick_front_ after a tick opened, moved or was freed.
+  void RescanTicks();
 
   // 4-ary heap primitives over heap_.  Const because Front needs them;
   // they touch only the mutable heap state.
@@ -191,24 +209,24 @@ class EventQueue {
   // Removes heap_[0], preserving the heap property.
   void RemoveTop() const;
 
-  // Source of the earliest live entry (kHeapSource, a lane index, or
-  // kNoSource), dropping cancelled entries that reach the front on the
+  // Source of the earliest live entry (kHeapSource, a tick index, or
+  // kNoSource), dropping cancelled heap entries that reach the top on the
   // way.  Const because the queue's logical contents don't change,
   // matching empty()/NextTime().
   int Front() const;
-  const HeapEntry& FrontEntry(int source) const {
-    return source == kHeapSource ? heap_.front() : lanes_[source].front();
+  SimTime FrontTime(int source) const {
+    return source == kHeapSource ? heap_.front().time : ticks_[source].key.time;
   }
-  // Removes the front entry of `source` and frees its slot.
-  void RemoveFront(int source) const;
   // Moves the front of `source` (which must be live) into `out`.
   void TakeFront(int source, Popped* out);
 
   mutable std::vector<HeapEntry> heap_;
-  mutable std::vector<Lane> lanes_;
-  // Lane with the earliest front, or kNoSource when all lanes are empty;
-  // heap pops, the common case, then compare against one lane front.
-  mutable int lane_front_ = kNoSource;
+  // One tick per distinct (period, phase) pair, so a handful.  A tick is
+  // in use while it has subscribers; freed ticks stay in place for reuse,
+  // since handles index into this vector.
+  std::vector<Tick> ticks_;
+  // Tick with the earliest key, or kNoSource when no tick is in use.
+  int tick_front_ = kNoSource;
   mutable std::vector<Slot> slots_;
   mutable uint32_t free_head_ = kNoSlot;
   mutable size_t cancelled_pending_ = 0;

@@ -13,9 +13,8 @@ EventHandle Simulator::Schedule(SimDuration delay, EventFn fn) {
   return queue_.Push(now_ + delay, std::move(fn));
 }
 
-EventHandle Simulator::ScheduleFixedDelay(SimDuration delay, EventFn fn) {
-  OD_CHECK(delay >= SimDuration::Zero());
-  return queue_.PushLane(now_, delay, std::move(fn));
+PeriodicHandle Simulator::Every(SimDuration period, EventFn fn) {
+  return queue_.Every(now_, period, std::move(fn));
 }
 
 EventHandle Simulator::ScheduleAt(SimTime at, EventFn fn) {
@@ -23,26 +22,26 @@ EventHandle Simulator::ScheduleAt(SimTime at, EventFn fn) {
   return queue_.Push(at, std::move(fn));
 }
 
-void Simulator::Run() {
-  stopped_ = false;
-  EventQueue::Popped popped;
-  while (!stopped_ && queue_.PopIfAtOrBefore(SimTime::Max(), &popped)) {
-    OD_CHECK(popped.time >= now_);
-    now_ = popped.time;
-    ++events_processed_;
-    popped.fn();
-  }
-}
-
-void Simulator::RunUntil(SimTime deadline) {
-  OD_CHECK(deadline >= now_);
+void Simulator::RunEvents(SimTime deadline) {
   stopped_ = false;
   EventQueue::Popped popped;
   while (!stopped_ && queue_.PopIfAtOrBefore(deadline, &popped)) {
+    OD_CHECK(popped.time >= now_);
     now_ = popped.time;
     ++events_processed_;
-    popped.fn();
+    if (popped.tick == EventQueue::kNoTick) {
+      popped.fn();
+    } else {
+      queue_.FireTick(popped.tick, stopped_);
+    }
   }
+}
+
+void Simulator::Run() { RunEvents(SimTime::Max()); }
+
+void Simulator::RunUntil(SimTime deadline) {
+  OD_CHECK(deadline >= now_);
+  RunEvents(deadline);
   if (!stopped_ && now_ < deadline) {
     now_ = deadline;
   }

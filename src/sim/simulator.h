@@ -47,11 +47,16 @@ class Simulator {
   EventHandle Schedule(SimDuration delay, EventFn fn);
   EventHandle ScheduleAt(SimTime at, EventFn fn);
 
-  // Schedule(delay, fn) for timers that re-arm with one constant period:
-  // every event scheduled with the same delay shares a FIFO lane, which
-  // costs O(1) per push instead of a heap sift.  Fires once, in exactly
-  // the order Schedule would give.  Jittered delays gain nothing here.
-  EventHandle ScheduleFixedDelay(SimDuration delay, EventFn fn);
+  // Calls `fn` at Now() + period and every period after that, until the
+  // handle is cancelled.  Subscribers with the same period and next call
+  // time share one tick event and run in subscription order, as timers
+  // re-arming with Schedule(period, ...) at the end of each call would.
+  // The tick draws one key for all of them, so an event scheduled for its
+  // instant between two subscriptions now runs after both, and one that a
+  // subscriber other than the first schedules while the tick fires now
+  // runs before the whole tick.  Jittered or self-ending timers stay on
+  // Schedule.
+  PeriodicHandle Every(SimDuration period, EventFn fn);
 
   // Runs until the event queue is exhausted or Stop() is called.
   void Run();
@@ -59,7 +64,8 @@ class Simulator {
   // Runs all events with time <= deadline, then advances the clock to it.
   void RunUntil(SimTime deadline);
 
-  // Makes Run()/RunUntil() return after the current event completes.
+  // Makes Run()/RunUntil() return after the current event completes (inside
+  // a tick: after the current subscriber; the next run resumes the tick).
   void Stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
@@ -132,6 +138,8 @@ class Simulator {
     EventFn on_complete;
   };
 
+  // Dispatches events up to `deadline` until the queue runs dry or Stop().
+  void RunEvents(SimTime deadline);
   void Dispatch(SimTime now);
   void SetContext(SimTime now, ProcessId pid, ProcedureId proc);
 

@@ -233,8 +233,7 @@ TEST(DriftSentinelTest, WindowVerdictRequiresConfidenceAndBand) {
 
   auto feed = [&](int n, double gauge_w, double learned_w, bool confident) {
     for (int i = 0; i < n; ++i) {
-      sentinel.AddInterval(odsim::SimTime::Zero(), 1.0, gauge_w, learned_w,
-                           confident);
+      sentinel.AddInterval(1.0, gauge_w, learned_w, confident);
     }
   };
 
@@ -263,7 +262,7 @@ TEST(DriftSentinelTest, WindowVerdictRequiresConfidenceAndBand) {
 TEST(DriftSentinelTest, UnderReadingGaugeConvictsToo) {
   DriftSentinel sentinel;
   for (int i = 0; i < 40; ++i) {
-    sentinel.AddInterval(odsim::SimTime::Zero(), 1.0, 8.0, 10.0, true);
+    sentinel.AddInterval(1.0, 8.0, 10.0, true);
   }
   EXPECT_TRUE(sentinel.Diverged());
   EXPECT_LT(sentinel.WindowExcessJoules(), 0.0);  // Signed: under-read.
