@@ -55,7 +55,6 @@ class SpeechRecognizer : public odyssey::AdaptiveApplication {
   // activity"), spinning the disk up if power management had it in standby.
   // Off by default: the paper's measured configuration fits in memory.
   void set_vocab_paging(bool enabled) { vocab_paging_ = enabled; }
-  bool vocab_paging() const { return vocab_paging_; }
 
   // Recognizes one utterance; `on_done` fires when text is available.
   void Recognize(const Utterance& utterance, odsim::EventFn on_done);

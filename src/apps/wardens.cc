@@ -49,11 +49,6 @@ void SpeechWarden::RemoteRecognize(size_t waveform_bytes, size_t reply_bytes,
 MapWarden::MapWarden(odsim::Simulator* sim)
     : OdysseyWardenBase("map", sim, "_map_FetchReply") {}
 
-void MapWarden::FetchMap(size_t request_bytes, size_t map_bytes,
-                         odsim::SimDuration server_time, odsim::EventFn on_done) {
-  Fetch(request_bytes, map_bytes, server_time, std::move(on_done));
-}
-
 void MapWarden::FetchMapWithStatus(size_t request_bytes, size_t map_bytes,
                                    odsim::SimDuration server_time,
                                    odnet::RpcClient::StatusFn on_done) {
@@ -62,11 +57,6 @@ void MapWarden::FetchMapWithStatus(size_t request_bytes, size_t map_bytes,
 
 WebWarden::WebWarden(odsim::Simulator* sim)
     : OdysseyWardenBase("web", sim, "_distill_Fetch") {}
-
-void WebWarden::FetchImage(size_t request_bytes, size_t image_bytes,
-                           odsim::SimDuration distill_time, odsim::EventFn on_done) {
-  Fetch(request_bytes, image_bytes, distill_time, std::move(on_done));
-}
 
 void WebWarden::FetchImageWithStatus(size_t request_bytes, size_t image_bytes,
                                      odsim::SimDuration distill_time,

@@ -56,9 +56,6 @@ class MapWarden : public OdysseyWardenBase {
  public:
   explicit MapWarden(odsim::Simulator* sim);
 
-  void FetchMap(size_t request_bytes, size_t map_bytes,
-                odsim::SimDuration server_time, odsim::EventFn on_done);
-
   // Typed variant: the viewer falls back to its cached map when the fetch
   // fails instead of waiting on a dead channel.
   void FetchMapWithStatus(size_t request_bytes, size_t map_bytes,
@@ -70,9 +67,6 @@ class MapWarden : public OdysseyWardenBase {
 class WebWarden : public OdysseyWardenBase {
  public:
   explicit WebWarden(odsim::Simulator* sim);
-
-  void FetchImage(size_t request_bytes, size_t image_bytes,
-                  odsim::SimDuration distill_time, odsim::EventFn on_done);
 
   // Typed variant: the browser renders a text-only page when the image
   // never arrives.

@@ -50,8 +50,6 @@ class JobBudget {
   // Returns a token previously obtained from TryAcquire.
   void Release();
 
-  bool is_pipe() const { return mode_ == Mode::kPipe; }
-
  private:
   enum class Mode { kUnconfigured, kLocal, kPipe };
 

@@ -7,20 +7,6 @@
 
 namespace odnet {
 
-const char* RpcStatusName(RpcStatus status) {
-  switch (status) {
-    case RpcStatus::kOk:
-      return "ok";
-    case RpcStatus::kRetriesExhausted:
-      return "retries-exhausted";
-    case RpcStatus::kDeadlineExceeded:
-      return "deadline-exceeded";
-    case RpcStatus::kRejected:
-      return "rejected";
-  }
-  return "unknown";
-}
-
 RpcClient::RpcClient(odsim::Simulator* sim, Link* link, odpower::PowerManager* pm,
                      uint64_t loss_seed)
     : sim_(sim), link_(link), pm_(pm), rng_(loss_seed) {

@@ -40,8 +40,6 @@ enum class RpcStatus {
   kRejected,           // Server admission control refused the request.
 };
 
-const char* RpcStatusName(RpcStatus status);
-
 struct RpcConfig {
   // Probability that any one message (request or reply) is lost.
   double loss_probability = 0.0;

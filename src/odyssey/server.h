@@ -62,10 +62,6 @@ class RemoteServer {
   double total_busy_seconds() const { return service_->total_busy_seconds(); }
   int completed_requests() const { return service_->completed_requests(); }
 
-  // This session's completed requests (equals completed_requests() on a
-  // dedicated server).
-  int session_completed() const { return service_->SessionCompleted(session_); }
-
   odserve::SharedService* service() { return service_; }
   int session() const { return session_; }
 

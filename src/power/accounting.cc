@@ -17,17 +17,13 @@ EnergyAccounting::EnergyAccounting(Machine* machine)
 }
 
 void EnergyAccounting::Resnapshot() {
-  int n = machine_->component_count();
-  snapshot_component_watts_.resize(static_cast<size_t>(n));
-  component_joules_.resize(static_cast<size_t>(n), 0.0);
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) {
-    double p = machine_->component(i).power();
-    snapshot_component_watts_[static_cast<size_t>(i)] = p;
-    sum += p;
+  component_count_ = machine_->component_count();
+  const auto& watts = machine_->component_watts();
+  for (size_t i = 0; i < components_.size(); ++i) {
+    components_[i].watts = watts[i];
   }
   snapshot_synergy_watts_ = machine_->SynergyPower();
-  snapshot_total_watts_ = sum + snapshot_synergy_watts_;
+  snapshot_total_watts_ = machine_->TotalPower();
 }
 
 void EnergyAccounting::AccrueTo(odsim::SimTime now) {
@@ -40,20 +36,24 @@ void EnergyAccounting::AccrueTo(odsim::SimTime now) {
 
   total_joules_ += snapshot_total_watts_ * dt;
   synergy_joules_ += snapshot_synergy_watts_ * dt;
-  for (size_t i = 0; i < snapshot_component_watts_.size(); ++i) {
-    component_joules_[i] += snapshot_component_watts_[i] * dt;
+  for (int i = 0; i < component_count_; ++i) {
+    ComponentSlot& slot = components_[static_cast<size_t>(i)];
+    slot.joules += slot.watts * dt;
+  }
+  double joules = snapshot_total_watts_ * dt;
+  if (snapshot_pid_ == odsim::kIdlePid) {
+    idle_.joules += joules;
+    idle_accrued_ = true;
+    return;
   }
   if (cached_process_ == nullptr) {
     cached_process_ = &by_process_[snapshot_pid_];
     cached_context_ = &by_context_[ContextKey(snapshot_pid_, snapshot_proc_)];
   }
-  double joules = snapshot_total_watts_ * dt;
   cached_process_->joules += joules;
   cached_context_->joules += joules;
-  if (snapshot_pid_ != odsim::kIdlePid) {
-    cached_process_->cpu_seconds += dt;
-    cached_context_->cpu_seconds += dt;
-  }
+  cached_process_->cpu_seconds += dt;
+  cached_context_->cpu_seconds += dt;
 }
 
 double EnergyAccounting::TotalJoules(odsim::SimTime now) {
@@ -63,8 +63,8 @@ double EnergyAccounting::TotalJoules(odsim::SimTime now) {
 
 double EnergyAccounting::ComponentJoules(int index, odsim::SimTime now) {
   AccrueTo(now);
-  OD_CHECK(index >= 0 && index < static_cast<int>(component_joules_.size()));
-  return component_joules_[static_cast<size_t>(index)];
+  OD_CHECK(index >= 0 && index < component_count_);
+  return components_[static_cast<size_t>(index)].joules;
 }
 
 double EnergyAccounting::SynergyJoules(odsim::SimTime now) {
@@ -74,6 +74,9 @@ double EnergyAccounting::SynergyJoules(odsim::SimTime now) {
 
 ContextUsage EnergyAccounting::ProcessUsage(odsim::ProcessId pid, odsim::SimTime now) {
   AccrueTo(now);
+  if (pid == odsim::kIdlePid) {
+    return idle_;
+  }
   auto it = by_process_.find(pid);
   return it == by_process_.end() ? ContextUsage{} : it->second;
 }
@@ -82,6 +85,9 @@ ContextUsage EnergyAccounting::ProcedureUsage(odsim::ProcessId pid,
                                               odsim::ProcedureId proc,
                                               odsim::SimTime now) {
   AccrueTo(now);
+  if (pid == odsim::kIdlePid) {
+    return proc == odsim::kIdleProc ? idle_ : ContextUsage{};
+  }
   auto it = by_context_.find(ContextKey(pid, proc));
   return it == by_context_.end() ? ContextUsage{} : it->second;
 }
@@ -89,7 +95,10 @@ ContextUsage EnergyAccounting::ProcedureUsage(odsim::ProcessId pid,
 std::vector<odsim::ProcessId> EnergyAccounting::Processes(odsim::SimTime now) {
   AccrueTo(now);
   std::vector<odsim::ProcessId> pids;
-  pids.reserve(by_process_.size());
+  pids.reserve(by_process_.size() + 1);
+  if (idle_accrued_) {
+    pids.push_back(odsim::kIdlePid);
+  }
   for (const auto& [pid, usage] : by_process_) {
     pids.push_back(pid);
   }
@@ -101,7 +110,11 @@ void EnergyAccounting::Reset(odsim::SimTime now) {
   AccrueTo(now);
   total_joules_ = 0.0;
   synergy_joules_ = 0.0;
-  std::fill(component_joules_.begin(), component_joules_.end(), 0.0);
+  for (ComponentSlot& slot : components_) {
+    slot.joules = 0.0;
+  }
+  idle_ = ContextUsage{};
+  idle_accrued_ = false;
   by_process_.clear();
   by_context_.clear();
   cached_process_ = nullptr;
@@ -115,6 +128,9 @@ void EnergyAccounting::OnMachinePowerChanged(odsim::SimTime now) {
 
 void EnergyAccounting::OnCpuContextSwitch(odsim::SimTime now, odsim::ProcessId pid,
                                           odsim::ProcedureId proc, bool /*busy*/) {
+  // The idle slot stands for the whole idle process, so the idle pid may
+  // only ever run the idle procedure.
+  OD_CHECK(pid != odsim::kIdlePid || proc == odsim::kIdleProc);
   AccrueTo(now);
   snapshot_pid_ = pid;
   snapshot_proc_ = proc;

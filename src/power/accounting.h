@@ -12,6 +12,7 @@
 #ifndef SRC_POWER_ACCOUNTING_H_
 #define SRC_POWER_ACCOUNTING_H_
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -70,13 +71,22 @@ class EnergyAccounting final : public MachineObserver, public odsim::CpuObserver
            static_cast<uint32_t>(proc);
   }
 
+  // Copies the machine's draw snapshot for the interval that starts now.
   void Resnapshot();
 
   Machine* machine_;
   odsim::SimTime last_time_;
 
-  // Snapshot of draws over the interval being integrated.
-  std::vector<double> snapshot_component_watts_;
+  // Per-component draw over the interval being integrated, and the energy
+  // accrued so far; index matches Machine::component().
+  struct ComponentSlot {
+    double watts = 0.0;
+    double joules = 0.0;
+  };
+  std::array<ComponentSlot, kMaxComponents> components_{};
+  int component_count_ = 0;
+
+  // Snapshot of the other draws and the CPU context.
   double snapshot_synergy_watts_ = 0.0;
   double snapshot_total_watts_ = 0.0;
   odsim::ProcessId snapshot_pid_ = odsim::kIdlePid;
@@ -85,13 +95,19 @@ class EnergyAccounting final : public MachineObserver, public odsim::CpuObserver
   // Accumulators.
   double total_joules_ = 0.0;
   double synergy_joules_ = 0.0;
-  std::vector<double> component_joules_;
+  // The idle context (kIdlePid, kIdleProc) accrues inline: a device that
+  // runs no CPU work never touches the maps below.  `idle_accrued_` is set
+  // exactly when the idle loop has accrued time since the last Reset.
+  ContextUsage idle_;
+  bool idle_accrued_ = false;
+  // Real processes only.
   std::unordered_map<odsim::ProcessId, ContextUsage> by_process_;
   std::unordered_map<uint64_t, ContextUsage> by_context_;
 
-  // Accumulator entries for the snapshot context, refilled lazily after a
-  // context switch or Reset.  Element pointers into unordered_map survive
-  // rehashing, so these stay valid until the maps are cleared.
+  // Map entries for the snapshot context when it is a real process, refilled
+  // lazily after a context switch or Reset.  Element pointers into
+  // unordered_map survive rehashing, so these stay valid until the maps are
+  // cleared.
   ContextUsage* cached_process_ = nullptr;
   ContextUsage* cached_context_ = nullptr;
 };

@@ -30,7 +30,7 @@ void Component::SetState(int new_state) {
 
 void Component::NotifyPowerChanged() {
   if (machine_ != nullptr) {
-    machine_->OnComponentPowerChanged();
+    machine_->OnComponentPowerChanged(index_, power());
   }
 }
 

@@ -20,6 +20,10 @@ class Machine;
 // measured superlinearity of total system power (see Machine::TotalPower).
 inline constexpr double kActiveThresholdWatts = 0.5;
 
+// Most components one Machine holds: the laptop has five, plus the smart
+// battery's monitor circuit when it has an overhead draw.
+inline constexpr int kMaxComponents = 8;
+
 class Component {
  public:
   Component(std::string name, std::vector<double> state_powers, int initial_state);
@@ -35,8 +39,6 @@ class Component {
   // Current draw in watts.  Subclasses may override to report a draw that is
   // not a pure function of the discrete state.
   virtual double power() const { return state_powers_[static_cast<size_t>(state_)]; }
-
-  bool active() const { return power() > kActiveThresholdWatts; }
 
   // Table draw of `state`, whether or not it is current.  Subclasses with
   // continuously variable draw (zoned display, scaled CPU) may deviate from
@@ -63,6 +65,7 @@ class Component {
   std::vector<double> state_powers_;
   int state_;
   Machine* machine_ = nullptr;  // Set when attached to a Machine.
+  int index_ = -1;              // Attach index on machine_.
 };
 
 }  // namespace odpower

@@ -85,7 +85,6 @@ class LearnedModel {
   double coefficient(int index) const {
     return theta_[static_cast<size_t>(index)];
   }
-  const std::vector<double>& coefficients() const { return theta_; }
 
   int samples() const { return samples_; }
   // [0, 1]: sample-count ramp times prediction-error quality.

@@ -10,6 +10,7 @@
 #ifndef SRC_POWER_MACHINE_H_
 #define SRC_POWER_MACHINE_H_
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,15 +46,20 @@ class Machine {
   }
 
   // Total instantaneous draw: sum of components plus the superlinear term.
-  // Cached between component power changes: every draw change funnels
-  // through OnComponentPowerChanged (SetState / NotifyPowerChanged), which
-  // invalidates.  Recomputation sums in attach order, so the cached value
-  // is bit-identical to the uncached sum.
-  double TotalPower() const;
+  // A field read: every draw change funnels through OnComponentPowerChanged
+  // (SetState / NotifyPowerChanged), which stores the component's new draw
+  // and re-sums the snapshot in attach order before notifying observers.
+  double TotalPower() const { return total_watts_; }
 
   // Superlinear excess alone (for accounting: it is not attributable to any
   // single component).
-  double SynergyPower() const;
+  double SynergyPower() const { return synergy_watts_; }
+
+  // Draw of each component as of its last change, by attach index; entries
+  // at and past component_count() are zero.
+  const std::array<double, kMaxComponents>& component_watts() const {
+    return component_watts_;
+  }
 
   int component_count() const { return static_cast<int>(components_.size()); }
   Component& component(int index) { return *components_[static_cast<size_t>(index)]; }
@@ -69,18 +75,22 @@ class Machine {
 
   odsim::Simulator* sim() { return sim_; }
 
-  // Called by Component when its draw changes.
-  void OnComponentPowerChanged();
-
  private:
+  friend class Component;
+
   void Attach(std::unique_ptr<Component> component);
 
+  // Called by the component at attach index `index` when its draw changes
+  // to `watts`.
+  void OnComponentPowerChanged(int index, double watts);
+
   odsim::Simulator* sim_;
-  double synergy_watts_;
+  double synergy_per_extra_active_;
   std::vector<std::unique_ptr<Component>> components_;
   std::vector<MachineObserver*> observers_;
-  mutable double cached_total_watts_ = 0.0;
-  mutable bool total_dirty_ = true;
+  std::array<double, kMaxComponents> component_watts_{};
+  double synergy_watts_ = 0.0;
+  double total_watts_ = 0.0;
 };
 
 }  // namespace odpower

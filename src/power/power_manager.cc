@@ -19,12 +19,6 @@ WaveLanState PowerManager::NetworkRestingState() const {
   return hw_pm_enabled_ ? WaveLanState::kStandby : WaveLanState::kIdle;
 }
 
-DiskState PowerManager::DiskRestingState() const {
-  // With PM off the disk never spins down; with PM on the standby timer
-  // moves it from idle to standby.
-  return DiskState::kIdle;
-}
-
 void PowerManager::SetHardwarePmEnabled(bool enabled) {
   hw_pm_enabled_ = enabled;
   if (!network_in_use()) {

@@ -71,7 +71,6 @@ class PowerManager {
 
  private:
   WaveLanState NetworkRestingState() const;
-  DiskState DiskRestingState() const;
   void ArmDiskTimer();
   void RestNetwork();
 

@@ -46,14 +46,6 @@ double EnergyProfile::TotalJoules() const {
   return total;
 }
 
-double EnergyProfile::TotalCpuSeconds() const {
-  double total = 0.0;
-  for (const ProcessProfile& p : processes_) {
-    total += p.summary.cpu_seconds;
-  }
-  return total;
-}
-
 double EnergyProfile::ProcessJoules(const std::string& name) const {
   for (const ProcessProfile& p : processes_) {
     if (p.summary.name == name) {

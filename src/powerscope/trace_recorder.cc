@@ -47,9 +47,9 @@ void TraceRecorder::OnMachinePowerChanged(odsim::SimTime now) {
   // would have no history and silently skew the totals.
   OD_CHECK(streams_.size() == static_cast<size_t>(count) + 1);
   const int64_t now_us = now.micros();
-  for (int i = 0; i < count; ++i) {
-    Record(&streams_[static_cast<size_t>(i)], now_us,
-           machine_->component(i).power());
+  const auto& watts = machine_->component_watts();
+  for (size_t i = 0; i < static_cast<size_t>(count); ++i) {
+    Record(&streams_[i], now_us, watts[i]);
   }
   Record(&streams_.back(), now_us, machine_->SynergyPower());
 }

@@ -8,18 +8,6 @@
 
 namespace odserve {
 
-const char* ServeOutcomeName(ServeOutcome outcome) {
-  switch (outcome) {
-    case ServeOutcome::kServed:
-      return "served";
-    case ServeOutcome::kCacheHit:
-      return "cache-hit";
-    case ServeOutcome::kRejected:
-      return "rejected";
-  }
-  return "unknown";
-}
-
 SharedService::SharedService(odsim::Simulator* sim, std::string name,
                              ServiceConfig config)
     : sim_(sim), name_(std::move(name)), config_(config) {

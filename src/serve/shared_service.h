@@ -52,8 +52,6 @@ enum class ServeOutcome {
   kRejected,  // Admission control refused the request (queue full).
 };
 
-const char* ServeOutcomeName(ServeOutcome outcome);
-
 struct ServiceConfig {
   // Scales submitted work (a 2x-faster server halves it).
   double speed_factor = 1.0;
@@ -80,7 +78,6 @@ class SharedService {
   // attribution (per-session completion counts); they do not partition the
   // queue.
   int OpenSession(std::string client_name);
-  int session_count() const { return static_cast<int>(sessions_.size()); }
 
   // -- Submission ------------------------------------------------------------
 
@@ -127,7 +124,6 @@ class SharedService {
   // Queue-wait statistics over served requests (time from submit to service
   // start; batched joiners measure from their own submit).  Cache hits and
   // rejects never queue and are excluded.
-  int waits_recorded() const { return static_cast<int>(waits_.size()); }
   double MeanWaitSeconds() const;
   // Nearest-rank percentile, deterministic.  p in [0, 100].
   double WaitPercentileSeconds(double p) const;

@@ -42,7 +42,7 @@ uint32_t EventQueue::AllocSlot() {
   return static_cast<uint32_t>(slots_.size() - 1);
 }
 
-inline void EventQueue::FreeSlot(uint32_t slot) const {
+inline void EventQueue::FreeSlot(uint32_t slot) {
   Slot& s = slots_[slot];
   s.fn = nullptr;
   s.cancelled = false;
@@ -51,7 +51,7 @@ inline void EventQueue::FreeSlot(uint32_t slot) const {
   free_head_ = slot;
 }
 
-void EventQueue::SiftUp(size_t i) const {
+void EventQueue::SiftUp(size_t i) {
   HeapEntry e = heap_[i];
   while (i > 0) {
     size_t parent = (i - 1) / kArity;
@@ -64,7 +64,7 @@ void EventQueue::SiftUp(size_t i) const {
   heap_[i] = e;
 }
 
-void EventQueue::SiftDown(size_t i) const {
+void EventQueue::SiftDown(size_t i) {
   const size_t n = heap_.size();
   HeapEntry e = heap_[i];
   for (;;) {
@@ -88,7 +88,7 @@ void EventQueue::SiftDown(size_t i) const {
   heap_[i] = e;
 }
 
-void EventQueue::RemoveTop() const {
+void EventQueue::RemoveTop() {
   heap_.front() = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {
@@ -257,7 +257,7 @@ void EventQueue::Compact() {
   cancelled_pending_ = 0;
 }
 
-inline int EventQueue::Front() const {
+inline int EventQueue::Front() {
   while (!heap_.empty() && slots_[heap_.front().slot()].cancelled) {
     uint32_t slot = heap_.front().slot();
     RemoveTop();
@@ -282,22 +282,6 @@ inline void EventQueue::TakeFront(int source, Popped* out) {
   out->fn = std::move(slots_[slot].fn);
   RemoveTop();
   FreeSlot(slot);
-}
-
-bool EventQueue::empty() const { return Front() == kNoSource; }
-
-SimTime EventQueue::NextTime() const {
-  int source = Front();
-  OD_CHECK(source != kNoSource);
-  return FrontTime(source);
-}
-
-EventQueue::Popped EventQueue::Pop() {
-  int source = Front();
-  OD_CHECK(source != kNoSource);
-  Popped popped;
-  TakeFront(source, &popped);
-  return popped;
 }
 
 bool EventQueue::PopIfAtOrBefore(SimTime deadline, Popped* out) {

@@ -2,7 +2,7 @@
 //
 // Events at equal timestamps fire in scheduling order (FIFO), which the
 // sequence number guarantees.  Storage is a slot arena plus a binary heap
-// of trivially-copyable entries: Push and Pop allocate nothing beyond
+// of trivially-copyable entries: pushes and pops allocate nothing beyond
 // amortized vector growth, and handles are (slot, generation) pairs that
 // go inert when the slot is recycled.
 //
@@ -14,7 +14,7 @@
 // Periodic ticks take constant-period timers off the heap.  A tick is a
 // group of subscribers that share one period and one next call time; it
 // holds a single pending {time, seq} key from the same sequence counter,
-// kept outside the heap.  Pop takes the earlier of the heap top and the
+// kept outside the heap.  A pop takes the earlier of the heap top and the
 // earliest tick by that key, and firing a tick calls its subscribers in
 // subscription order, then re-arms the key one period later with a fresh
 // sequence number: the one a lone timer scheduling its next call at the
@@ -98,26 +98,20 @@ class EventQueue {
   // decrease between calls (the simulator clock guarantees this).
   PeriodicHandle Every(SimTime now, SimDuration period, EventFn fn);
 
-  bool empty() const;
-
-  // Time of the earliest non-cancelled event.  Requires !empty().
-  SimTime NextTime() const;
-
-  // Removes and returns the earliest non-cancelled event.  Requires !empty().
-  // When the earliest is a tick, `tick` names it and `fn` is unset; the
-  // tick keeps its key until FireTick has called every subscriber.
+  // The earliest non-cancelled event.  When it is a tick, `tick` names it
+  // and `fn` is unset; the tick keeps its key until FireTick has called
+  // every subscriber.
   static constexpr uint32_t kNoTick = UINT32_MAX;
   struct Popped {
     SimTime time;
     EventFn fn;
     uint32_t tick = kNoTick;
   };
-  Popped Pop();
 
   // Pops the earliest event into `out` if one exists at or before
-  // `deadline`; returns false (leaving `out` alone) otherwise.  The
-  // simulator main loops use this to make one top-of-heap inspection per
-  // event instead of three (empty / NextTime / Pop).
+  // `deadline`; returns false (leaving `out` alone) otherwise.  This is the
+  // only read path: the simulator's run loop makes one top-of-heap
+  // inspection per event.
   bool PopIfAtOrBefore(SimTime deadline, Popped* out);
 
   // Calls the subscribers of the popped `tick` in subscription order,
@@ -189,9 +183,8 @@ class EventQueue {
 
   uint32_t AllocSlot();
   // Recycles a slot whose entry is gone; bumps gen so stale handles are
-  // inert.  Const so Front can call it; touches only the mutable arena
-  // state.
-  void FreeSlot(uint32_t slot) const;
+  // inert.
+  void FreeSlot(uint32_t slot);
   void CancelSlot(uint32_t slot, uint32_t gen);
   bool SlotPending(uint32_t slot, uint32_t gen) const;
   // One-pass removal of all cancelled entries followed by a heap rebuild.
@@ -202,34 +195,32 @@ class EventQueue {
   // Recomputes tick_front_ after a tick opened, moved or was freed.
   void RescanTicks();
 
-  // 4-ary heap primitives over heap_.  Const because Front needs them;
-  // they touch only the mutable heap state.
-  void SiftUp(size_t i) const;
-  void SiftDown(size_t i) const;
+  // 4-ary heap primitives over heap_.
+  void SiftUp(size_t i);
+  void SiftDown(size_t i);
   // Removes heap_[0], preserving the heap property.
-  void RemoveTop() const;
+  void RemoveTop();
 
   // Source of the earliest live entry (kHeapSource, a tick index, or
   // kNoSource), dropping cancelled heap entries that reach the top on the
-  // way.  Const because the queue's logical contents don't change,
-  // matching empty()/NextTime().
-  int Front() const;
+  // way.
+  int Front();
   SimTime FrontTime(int source) const {
     return source == kHeapSource ? heap_.front().time : ticks_[source].key.time;
   }
   // Moves the front of `source` (which must be live) into `out`.
   void TakeFront(int source, Popped* out);
 
-  mutable std::vector<HeapEntry> heap_;
+  std::vector<HeapEntry> heap_;
   // One tick per distinct (period, phase) pair, so a handful.  A tick is
   // in use while it has subscribers; freed ticks stay in place for reuse,
   // since handles index into this vector.
   std::vector<Tick> ticks_;
   // Tick with the earliest key, or kNoSource when no tick is in use.
   int tick_front_ = kNoSource;
-  mutable std::vector<Slot> slots_;
-  mutable uint32_t free_head_ = kNoSlot;
-  mutable size_t cancelled_pending_ = 0;
+  std::vector<Slot> slots_;
+  uint32_t free_head_ = kNoSlot;
+  size_t cancelled_pending_ = 0;
   uint64_t next_seq_ = 0;
 };
 

@@ -128,7 +128,6 @@ class Simulator {
   // nominal CPU-seconds executes at this rate: at 0.5, one second of work
   // takes two wall seconds.  Takes effect at the next scheduling boundary.
   void set_cpu_speed(double speed);
-  double cpu_speed() const { return cpu_speed_; }
 
  private:
   struct WorkItem {

@@ -1,5 +1,7 @@
 #include "src/power/component.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "src/power/cpu.h"
@@ -21,11 +23,17 @@ TEST(ComponentTest, StatePowerLookup) {
   EXPECT_DOUBLE_EQ(display.power(), 0.0);
 }
 
+// A component is active, for the machine's superlinear term, while it
+// draws more than kActiveThresholdWatts.
 TEST(ComponentTest, ActiveThreshold) {
-  WaveLan wavelan(1.65, 1.40, 0.88, 0.18);
-  EXPECT_TRUE(wavelan.active());  // Idle 0.88 > 0.5.
-  wavelan.Set(WaveLanState::kStandby);
-  EXPECT_FALSE(wavelan.active());  // 0.18 < 0.5.
+  odsim::Simulator sim;
+  Machine machine(&sim, 0.07);
+  machine.AddComponent(std::make_unique<OtherComponent>(3.0));
+  WaveLan* wavelan =
+      machine.AddComponent(std::make_unique<WaveLan>(1.65, 1.40, 0.88, 0.18));
+  EXPECT_DOUBLE_EQ(machine.SynergyPower(), 0.07);  // Idle 0.88 > 0.5.
+  wavelan->Set(WaveLanState::kStandby);
+  EXPECT_DOUBLE_EQ(machine.SynergyPower(), 0.0);  // 0.18 < 0.5.
 }
 
 TEST(ComponentTest, DisplayZonedPower) {

@@ -7,9 +7,29 @@
 namespace odsim {
 namespace {
 
+// Pops the earliest pending event, whatever its time.
+bool PopNext(EventQueue& q, EventQueue::Popped* out) {
+  return q.PopIfAtOrBefore(SimTime::Max(), out);
+}
+
+// True when nothing is pending.  Pops the earliest event if there is one,
+// so it is only asked where the queue should be empty.
+bool Drained(EventQueue& q) {
+  EventQueue::Popped popped;
+  return !PopNext(q, &popped);
+}
+
+// Runs every pending event in order.
+void RunAll(EventQueue& q) {
+  EventQueue::Popped popped;
+  while (PopNext(q, &popped)) {
+    popped.fn();
+  }
+}
+
 TEST(EventQueueTest, EmptyInitially) {
   EventQueue q;
-  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(Drained(q));
 }
 
 TEST(EventQueueTest, PopsInTimeOrder) {
@@ -18,9 +38,7 @@ TEST(EventQueueTest, PopsInTimeOrder) {
   q.Push(SimTime::Seconds(3), [&] { order.push_back(3); });
   q.Push(SimTime::Seconds(1), [&] { order.push_back(1); });
   q.Push(SimTime::Seconds(2), [&] { order.push_back(2); });
-  while (!q.empty()) {
-    q.Pop().fn();
-  }
+  RunAll(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -30,19 +48,19 @@ TEST(EventQueueTest, EqualTimesAreFifo) {
   for (int i = 0; i < 10; ++i) {
     q.Push(SimTime::Seconds(5), [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) {
-    q.Pop().fn();
-  }
+  RunAll(q);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(order[static_cast<size_t>(i)], i);
   }
 }
 
-TEST(EventQueueTest, NextTimeReportsEarliest) {
+TEST(EventQueueTest, PopsTheEarliestTimeFirst) {
   EventQueue q;
   q.Push(SimTime::Seconds(9), [] {});
   q.Push(SimTime::Seconds(4), [] {});
-  EXPECT_EQ(q.NextTime(), SimTime::Seconds(4));
+  EventQueue::Popped popped;
+  ASSERT_TRUE(PopNext(q, &popped));
+  EXPECT_EQ(popped.time, SimTime::Seconds(4));
 }
 
 TEST(EventQueueTest, CancelledEventIsSkipped) {
@@ -51,19 +69,21 @@ TEST(EventQueueTest, CancelledEventIsSkipped) {
   EventHandle handle = q.Push(SimTime::Seconds(1), [&] { fired = true; });
   q.Push(SimTime::Seconds(2), [] {});
   handle.Cancel();
-  EXPECT_EQ(q.NextTime(), SimTime::Seconds(2));
-  q.Pop();
-  EXPECT_TRUE(q.empty());
+  EventQueue::Popped popped;
+  ASSERT_TRUE(PopNext(q, &popped));
+  EXPECT_EQ(popped.time, SimTime::Seconds(2));
+  EXPECT_TRUE(Drained(q));
   EXPECT_FALSE(fired);
 }
 
 TEST(EventQueueTest, CancelAfterFireIsNoop) {
   EventQueue q;
   EventHandle handle = q.Push(SimTime::Seconds(1), [] {});
-  auto popped = q.Pop();
+  EventQueue::Popped popped;
+  ASSERT_TRUE(PopNext(q, &popped));
   popped.fn();
   handle.Cancel();  // Must not crash or corrupt.
-  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(Drained(q));
 }
 
 TEST(EventQueueTest, PendingLifecycle) {
@@ -74,7 +94,8 @@ TEST(EventQueueTest, PendingLifecycle) {
   EXPECT_FALSE(handle.pending());
 
   EventHandle fired = q.Push(SimTime::Seconds(2), [] {});
-  q.Pop();
+  EventQueue::Popped popped;
+  ASSERT_TRUE(PopNext(q, &popped));
   EXPECT_FALSE(fired.pending());
 
   EventHandle empty;
@@ -87,7 +108,7 @@ TEST(EventQueueTest, AllCancelledMeansEmpty) {
   EventHandle b = q.Push(SimTime::Seconds(2), [] {});
   a.Cancel();
   b.Cancel();
-  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(Drained(q));
 }
 
 TEST(EventQueueTest, CopiedHandleCancelsSameEvent) {
@@ -97,7 +118,7 @@ TEST(EventQueueTest, CopiedHandleCancelsSameEvent) {
   EventHandle b = a;
   b.Cancel();
   EXPECT_FALSE(a.pending());
-  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(Drained(q));
   EXPECT_FALSE(fired);
 }
 
@@ -106,10 +127,9 @@ TEST(EventQueueTest, PopIfAtOrBeforeRespectsDeadline) {
   q.Push(SimTime::Seconds(5), [] {});
   EventQueue::Popped popped;
   EXPECT_FALSE(q.PopIfAtOrBefore(SimTime::Seconds(4), &popped));
-  EXPECT_FALSE(q.empty());
+  // The refused pop left the event pending.
   ASSERT_TRUE(q.PopIfAtOrBefore(SimTime::Seconds(5), &popped));
   EXPECT_EQ(popped.time, SimTime::Seconds(5));
-  EXPECT_TRUE(q.empty());
   EXPECT_FALSE(q.PopIfAtOrBefore(SimTime::Max(), &popped));
 }
 
@@ -117,14 +137,16 @@ TEST(EventQueueTest, StaleHandleAfterSlotReuseIsInert) {
   EventQueue q;
   bool second_fired = false;
   EventHandle first = q.Push(SimTime::Seconds(1), [] {});
-  q.Pop();  // Fires (and recycles) the first event's slot.
+  EventQueue::Popped popped;
+  ASSERT_TRUE(PopNext(q, &popped));  // Fires (and recycles) the first slot.
   // The recycled slot is reused by the next push; the stale handle must
   // neither report pending nor cancel the new occupant.
   EventHandle second = q.Push(SimTime::Seconds(2), [&] { second_fired = true; });
   EXPECT_FALSE(first.pending());
   first.Cancel();
   EXPECT_TRUE(second.pending());
-  q.Pop().fn();
+  ASSERT_TRUE(PopNext(q, &popped));
+  popped.fn();
   EXPECT_TRUE(second_fired);
 }
 
@@ -149,9 +171,7 @@ TEST(EventQueueTest, CancelHeavySoakKeepsHeapBounded) {
   // A live event scheduled after the churn still pops, in order.
   q.Push(SimTime::Seconds(2), [&] { order.push_back(2); });
   q.Push(SimTime::Seconds(1), [&] { order.push_back(1); });
-  while (!q.empty()) {
-    q.Pop().fn();
-  }
+  RunAll(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
@@ -173,9 +193,7 @@ TEST(EventQueueTest, CompactionPreservesPopOrder) {
     h.Cancel();  // Triggers at least one threshold compaction.
   }
   std::vector<int> popped_order;
-  while (!q.empty()) {
-    q.Pop().fn();
-  }
+  RunAll(q);
   // Survivors fire grouped by time bucket, FIFO within a bucket.
   ASSERT_EQ(order.size(), 300u);
   for (size_t i = 1; i < order.size(); ++i) {

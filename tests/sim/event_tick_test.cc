@@ -334,20 +334,25 @@ TEST(EventTickTest, FreeingTheFrontTickHandsOverTheFront) {
   }
   q.Every(SimTime::Zero(), SimDuration::Seconds(2), [&] { order.push_back(2); });
   q.Push(SimTime::Seconds(3), [&] { order.push_back(3); });
-  EXPECT_EQ(q.NextTime(), SimTime::Seconds(1));
+  // A popped tick keeps its key until it fires, so this pop only looks.
+  EventQueue::Popped popped;
+  ASSERT_TRUE(q.PopIfAtOrBefore(SimTime::Max(), &popped));
+  EXPECT_EQ(popped.time, SimTime::Seconds(1));
   for (PeriodicHandle& h : doomed) {
     h.Cancel();  // The last cancel frees the 1 s tick.
   }
-  EXPECT_EQ(q.NextTime(), SimTime::Seconds(2));
   const bool stopped = false;
-  EventQueue::Popped popped;
+  std::vector<SimTime> times;
   while (q.PopIfAtOrBefore(SimTime::Seconds(4), &popped)) {
+    times.push_back(popped.time);
     if (popped.tick == EventQueue::kNoTick) {
       popped.fn();
     } else {
       q.FireTick(popped.tick, stopped);
     }
   }
+  EXPECT_EQ(times, (std::vector<SimTime>{SimTime::Seconds(2), SimTime::Seconds(3),
+                                         SimTime::Seconds(4)}));
   EXPECT_EQ(order, (std::vector<int>{2, 3, 2}));
 }
 
@@ -364,7 +369,9 @@ TEST(EventTickTest, CancelledSubscribersNeverCountTowardHeapCompaction) {
     EXPECT_EQ(q.cancelled_count_for_testing(), 0u);
   }
   EXPECT_EQ(q.size_for_testing(), 1u);
-  EXPECT_EQ(q.NextTime(), SimTime::Seconds(5));
+  EventQueue::Popped popped;
+  ASSERT_TRUE(q.PopIfAtOrBefore(SimTime::Max(), &popped));
+  EXPECT_EQ(popped.time, SimTime::Seconds(5));
 }
 
 }  // namespace
