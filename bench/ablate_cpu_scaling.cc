@@ -26,7 +26,7 @@ struct Row {
 };
 
 Row Measure(double speed, bool display_off) {
-  TestBed bed(TestBed::Options{.seed = 77, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 77, .hw_pm = true});
   bed.laptop().SetCpuSpeed(speed);
   if (!display_off) {
     bed.arbiter().Acquire();  // Pin the display bright (interactive user).

@@ -15,7 +15,7 @@
 namespace {
 
 double Lifetime(bool lowest_fidelity, bool non_ideal) {
-  odapps::TestBed bed(odapps::TestBed::Options{.seed = 3, .hw_pm = true, .link = {}});
+  odapps::TestBed bed(odapps::TestBed::Options{.seed = 3, .hw_pm = true});
   if (lowest_fidelity) {
     bed.speech().SetFidelity(0);
     bed.video().SetFidelity(0);

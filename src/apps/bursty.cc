@@ -7,6 +7,12 @@
 namespace odapps {
 
 namespace {
+
+// One schedule step, and the spacing of the five units an active
+// request-driven application (speech, web, map) runs in it.
+constexpr odsim::SimDuration kMinute = odsim::SimDuration::Seconds(60);
+constexpr odsim::SimDuration kUnitSpacing = odsim::SimDuration::Seconds(12);
+
 constexpr int kVideo = 0;
 constexpr int kSpeech = 1;
 constexpr int kWeb = 2;
@@ -43,7 +49,7 @@ void BurstyWorkload::Start() {
     }
   }
   MinuteTick();
-  tick_ = sim_->Every(config_.minute, [this] { MinuteTick(); });
+  tick_ = sim_->Every(kMinute, [this] { MinuteTick(); });
 }
 
 void BurstyWorkload::Stop() {
@@ -65,7 +71,7 @@ void BurstyWorkload::MinuteTick() {
   }
   for (int i = 0; i < 4; ++i) {
     if (active_[static_cast<size_t>(i)]) {
-      active_until_[static_cast<size_t>(i)] = now + config_.minute;
+      active_until_[static_cast<size_t>(i)] = now + kMinute;
     }
   }
   recorded_.minutes.push_back(active_);
@@ -109,13 +115,11 @@ void BurstyWorkload::DriveSpeech(odsim::SimTime /*active_until*/) {
   }
   chain_running_[kSpeech] = true;
   odsim::SimTime unit_start = sim_->Now();
-  odsim::SimDuration spacing = odsim::SimDuration::Seconds(
-      60.0 / config_.speech_utterances_per_minute);
   const auto& utterances = StandardUtterances();
   const Utterance& utterance =
       utterances[static_cast<size_t>(next_object_[kSpeech]++ % 4)];
-  speech_->Recognize(utterance, [this, unit_start, spacing] {
-    odsim::SimTime next = unit_start + spacing;
+  speech_->Recognize(utterance, [this, unit_start] {
+    odsim::SimTime next = unit_start + kUnitSpacing;
     if (next <= sim_->Now()) {
       DriveSpeech(active_until_[kSpeech]);
     } else {
@@ -131,12 +135,10 @@ void BurstyWorkload::DriveWeb(odsim::SimTime /*active_until*/) {
   }
   chain_running_[kWeb] = true;
   odsim::SimTime unit_start = sim_->Now();
-  odsim::SimDuration spacing =
-      odsim::SimDuration::Seconds(60.0 / config_.pages_per_minute);
   const auto& images = StandardWebImages();
   const WebImage& image = images[static_cast<size_t>(next_object_[kWeb]++ % 4)];
-  web_->BrowsePage(image, [this, unit_start, spacing] {
-    odsim::SimTime next = unit_start + spacing;
+  web_->BrowsePage(image, [this, unit_start] {
+    odsim::SimTime next = unit_start + kUnitSpacing;
     if (next <= sim_->Now()) {
       DriveWeb(active_until_[kWeb]);
     } else {
@@ -152,12 +154,10 @@ void BurstyWorkload::DriveMap(odsim::SimTime /*active_until*/) {
   }
   chain_running_[kMap] = true;
   odsim::SimTime unit_start = sim_->Now();
-  odsim::SimDuration spacing =
-      odsim::SimDuration::Seconds(60.0 / config_.maps_per_minute);
   const auto& maps = StandardMaps();
   const MapObject& map = maps[static_cast<size_t>(next_object_[kMap]++ % 4)];
-  map_->ViewMap(map, [this, unit_start, spacing] {
-    odsim::SimTime next = unit_start + spacing;
+  map_->ViewMap(map, [this, unit_start] {
+    odsim::SimTime next = unit_start + kUnitSpacing;
     if (next <= sim_->Now()) {
       DriveMap(active_until_[kMap]);
     } else {

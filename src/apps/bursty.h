@@ -35,11 +35,6 @@ class BurstyWorkload {
  public:
   struct Config {
     double switch_probability = 0.1;
-    odsim::SimDuration minute = odsim::SimDuration::Seconds(60);
-    // Units per active minute for the request-driven applications.
-    int speech_utterances_per_minute = 5;
-    int maps_per_minute = 5;
-    int pages_per_minute = 5;
     // When non-empty, states follow this schedule (repeating its last
     // minute if the run outlives it) instead of the Markov draws.
     MinuteSchedule replay;

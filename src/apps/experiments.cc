@@ -16,8 +16,9 @@ TestBed::Measurement RunVideoExperiment(const VideoClip& clip, VideoTrack track,
                                         double window_scale, bool hw_pm,
                                         uint64_t seed, bool trace) {
   TestBed bed(TestBed::Options{
-      .seed = seed, .hw_pm = hw_pm, .link = {}, .trace = trace});
-  bed.video().SetConfigOverride(VideoPlayer::Config{track, window_scale});
+      .seed = seed, .hw_pm = hw_pm, .trace = trace});
+  bed.video().SetConfigOverride(
+      VideoPlayer::Config{.track = track, .window_scale = window_scale});
   Settle(bed);
   return bed.Measure([&](odsim::EventFn done) {
     bed.video().PlayClip(clip, std::move(done));
@@ -27,7 +28,7 @@ TestBed::Measurement RunVideoExperiment(const VideoClip& clip, VideoTrack track,
 TestBed::Measurement RunSpeechExperiment(const Utterance& utterance,
                                          SpeechMode mode, bool reduced_model,
                                          bool hw_pm, uint64_t seed) {
-  TestBed bed(TestBed::Options{.seed = seed, .hw_pm = hw_pm, .link = {}});
+  TestBed bed(TestBed::Options{.seed = seed, .hw_pm = hw_pm});
   bed.speech().set_mode(mode);
   bed.speech().SetFidelity(reduced_model ? 0 : bed.speech().fidelity_spec().highest());
   Settle(bed);
@@ -39,7 +40,7 @@ TestBed::Measurement RunSpeechExperiment(const Utterance& utterance,
 TestBed::Measurement RunMapExperiment(const MapObject& map, MapFidelity fidelity,
                                       double think_seconds, bool hw_pm,
                                       uint64_t seed) {
-  TestBed bed(TestBed::Options{.seed = seed, .hw_pm = hw_pm, .link = {}});
+  TestBed bed(TestBed::Options{.seed = seed, .hw_pm = hw_pm});
   bed.map().SetFidelity(static_cast<int>(fidelity));
   bed.map().set_think_seconds(think_seconds);
   Settle(bed);
@@ -52,7 +53,7 @@ TestBed::Measurement RunWebExperiment(const WebImage& image, WebFidelity fidelit
                                       double think_seconds, bool hw_pm,
                                       uint64_t seed, bool trace) {
   TestBed bed(TestBed::Options{
-      .seed = seed, .hw_pm = hw_pm, .link = {}, .trace = trace});
+      .seed = seed, .hw_pm = hw_pm, .trace = trace});
   bed.web().SetFidelity(static_cast<int>(fidelity));
   bed.web().set_think_seconds(think_seconds);
   Settle(bed);
@@ -64,7 +65,7 @@ TestBed::Measurement RunWebExperiment(const WebImage& image, WebFidelity fidelit
 TestBed::Measurement RunCompositeExperiment(int iterations, bool lowest_fidelity,
                                             bool hw_pm, bool with_video,
                                             uint64_t seed) {
-  TestBed bed(TestBed::Options{.seed = seed, .hw_pm = hw_pm, .link = {}});
+  TestBed bed(TestBed::Options{.seed = seed, .hw_pm = hw_pm});
   if (lowest_fidelity) {
     bed.speech().SetFidelity(0);
     bed.video().SetFidelity(0);
@@ -89,8 +90,9 @@ TestBed::Measurement RunZonedVideoExperiment(const VideoClip& clip,
                                              VideoTrack track, double window_scale,
                                              int zones, uint64_t seed) {
   OD_CHECK(zones == 0 || zones == 4 || zones == 8);
-  TestBed bed(TestBed::Options{.seed = seed, .hw_pm = true, .link = {}});
-  bed.video().SetConfigOverride(VideoPlayer::Config{track, window_scale});
+  TestBed bed(TestBed::Options{.seed = seed, .hw_pm = true});
+  bed.video().SetConfigOverride(
+      VideoPlayer::Config{.track = track, .window_scale = window_scale});
   std::unique_ptr<oddisplay::ZonedBacklightController> zoned;
   if (zones != 0) {
     zoned = std::make_unique<oddisplay::ZonedBacklightController>(
@@ -109,7 +111,7 @@ TestBed::Measurement RunZonedMapExperiment(const MapObject& map,
                                            double think_seconds, int zones,
                                            uint64_t seed) {
   OD_CHECK(zones == 0 || zones == 4 || zones == 8);
-  TestBed bed(TestBed::Options{.seed = seed, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = seed, .hw_pm = true});
   bed.map().SetFidelity(static_cast<int>(fidelity));
   bed.map().set_think_seconds(think_seconds);
   std::unique_ptr<oddisplay::ZonedBacklightController> zoned;

@@ -46,6 +46,17 @@ const odyssey::FidelitySpec& FleetApp::fidelity_spec() const {
 
 namespace {
 
+// Per-device battery budget when FleetOptions::initial_joules is 0, in
+// watts over the goal.
+constexpr double kWattsBudget = 3.80;
+// Device workload: one keyed fetch of this request size per (jittered)
+// period, over this many shared objects.
+constexpr odsim::SimDuration kFetchPeriod = odsim::SimDuration::Seconds(5);
+constexpr int kSharedObjects = 256;
+constexpr size_t kRequestBytes = 256;
+// App-level flow control: fetches a device may have outstanding.
+constexpr int kMaxOutstanding = 4;
+
 // One fleet device: power model, link, viceroy, app, director.  No CPU work
 // is ever submitted on its behalf — the simulator models a single CPU,
 // which N devices must not share — and the link's interrupt batching is
@@ -83,8 +94,6 @@ odsim::SimDuration ScenarioPhaseTime(const odscenario::Scenario& scenario,
 
 FleetResult RunFleetScenario(const FleetOptions& options) {
   OD_CHECK(options.clients >= 1);
-  OD_CHECK(options.shared_objects >= 1);
-  OD_CHECK(options.max_outstanding >= 1);
 
   odsim::Simulator sim;
   odserve::SharedService service(&sim, "distill", options.service);
@@ -94,7 +103,7 @@ FleetResult RunFleetScenario(const FleetOptions& options) {
 
   double initial_joules = options.initial_joules;
   if (initial_joules <= 0.0) {
-    initial_joules = options.watts_budget * options.goal.seconds();
+    initial_joules = kWattsBudget * options.goal.seconds();
   }
 
   odutil::Rng seeder(options.seed);
@@ -135,8 +144,7 @@ FleetResult RunFleetScenario(const FleetOptions& options) {
   std::unique_ptr<odyssey::RemoteServer> fault_handle;
   std::unique_ptr<odfault::FaultInjector> injector;
   if (!options.fault_plan.empty()) {
-    fault_handle =
-        std::make_unique<odyssey::RemoteServer>(&service, "fault-target");
+    fault_handle = std::make_unique<odyssey::RemoteServer>(&service);
     odfault::FaultTargets targets;
     targets.link = devices[0]->link.get();
     targets.rpc = &devices[0]->viceroy->rpc();
@@ -183,26 +191,26 @@ FleetResult RunFleetScenario(const FleetOptions& options) {
         ++d.scenario_skipped_ticks;
       }
     }
-    if (behave && d.outstanding < options.max_outstanding) {
+    if (behave && d.outstanding < kMaxOutstanding) {
       int level = d.app->current_fidelity();
       const FleetLevelSpec& spec = FleetLevels()[level];
-      int object = d.rng->UniformInt(0, options.shared_objects - 1);
+      int object = d.rng->UniformInt(0, kSharedObjects - 1);
       std::string key =
           "obj" + std::to_string(object) + "@f" + std::to_string(level);
       ++d.fetches;
       ++d.outstanding;
       d.warden->FetchKeyed(
-          key, options.request_bytes, spec.reply_bytes, spec.distill_time,
+          key, kRequestBytes, spec.reply_bytes, spec.distill_time,
           [&d](const odyssey::Warden::FetchOutcome&) { --d.outstanding; });
     }
-    odsim::SimDuration next = options.fetch_period * d.rng->Uniform(0.9, 1.1);
+    odsim::SimDuration next = kFetchPeriod * d.rng->Uniform(0.9, 1.1);
     sim.Schedule(next, [&fetch_tick, i] { fetch_tick(i); });
   };
   for (int i = 0; i < options.clients; ++i) {
     // Stagger first fetches across one period so the fleet does not arrive
     // in a synchronized burst.
     odsim::SimDuration phase =
-        options.fetch_period * (static_cast<double>(i) / options.clients);
+        kFetchPeriod * (static_cast<double>(i) / options.clients);
     sim.Schedule(phase, [&fetch_tick, i] { fetch_tick(i); });
   }
 

@@ -16,9 +16,10 @@
 // the link's interrupt-batch accounting for the same reason.  The fleet
 // workload is the warden fetch path — the part of the testbed the shared
 // service actually serves — driven by a per-device fidelity ladder under
-// goal-directed adaptation.  Full-testbed fleets of one are wired through
-// Viceroy::set_service_provider (see TestBed::Options::services) and
-// reproduce the single-client goldens byte-identically.
+// goal-directed adaptation.  Each fleet warden attaches to the service as a
+// session (Viceroy::RegisterWarden with a service); a default-configured
+// shared service serves a single client event for event like the private
+// server a TestBed warden gets.
 
 #ifndef SRC_APPS_FLEET_H_
 #define SRC_APPS_FLEET_H_
@@ -72,11 +73,10 @@ struct FleetOptions {
   uint64_t seed = 1;
 
   // Per-device battery goal.  initial_joules == 0 sizes the budget as
-  // watts_budget * goal: between an uncontended device's draw and a
-  // queue-bound one's, so attainment measures contention, not slack.
+  // 3.80 W * goal: between an uncontended device's draw and a queue-bound
+  // one's, so attainment measures contention, not slack.
   odsim::SimDuration goal = odsim::SimDuration::Seconds(600);
   double initial_joules = 0.0;
-  double watts_budget = 3.80;
 
   // The shared distillation service.  The default is provisioned so the
   // fleet saturates it in the hundreds of clients: batching keeps the
@@ -87,16 +87,12 @@ struct FleetOptions {
                                  .batch_same_key = true,
                                  .cache_capacity = 0};
 
-  // Device workload: one keyed fetch per period (per-device jitter), over
-  // a shared object universe.  Keys are object id + fidelity level, so a
-  // degraded fleet concentrates its keys — and its cache hits.
-  odsim::SimDuration fetch_period = odsim::SimDuration::Seconds(5);
-  int shared_objects = 256;
-  size_t request_bytes = 256;
-  // App-level flow control: a device with this many fetches outstanding
-  // skips the period instead of piling more onto a slow service.
-  int max_outstanding = 4;
-
+  // Device workload: one keyed fetch (a 256-byte request) every 5 s
+  // (per-device jitter), over a universe of 256 shared objects.  Keys are
+  // object id + fidelity level, so a degraded fleet concentrates its keys
+  // — and its cache hits.  A device with four fetches outstanding skips
+  // the period instead of piling more onto a slow service.
+  //
   // Per-device behavior diversity: assign each device a scenario from the
   // named library by seed-indexed rotation (library[(seed + i) % size])
   // and gate its fetch loop on that behavior timeline — the device fetches
@@ -108,10 +104,11 @@ struct FleetOptions {
 
   // Per-device adaptation machinery, tuned down for scale (coarser monitor
   // and evaluation cadence than the single-client testbed; no timeline).
-  odenergy::GoalDirectorConfig director{
+  static constexpr odenergy::GoalDirectorConfig director{
       .evaluation_period = odsim::SimDuration::Seconds(1),
       .record_timeline = false};
-  odsim::SimDuration monitor_period = odsim::SimDuration::Millis(500);
+  static constexpr odsim::SimDuration monitor_period =
+      odsim::SimDuration::Millis(500);
 
   // Disturbance plan (odfault grammar).  Stall windows apply to the shared
   // service — one wedged distiller degrades the whole fleet.  Device-level
@@ -125,7 +122,7 @@ struct FleetOptions {
       device_probe;
 
   // Slack past the goal for final director evaluations.
-  odsim::SimDuration run_slack = odsim::SimDuration::Seconds(2);
+  static constexpr odsim::SimDuration run_slack = odsim::SimDuration::Seconds(2);
 };
 
 struct FleetDeviceResult {

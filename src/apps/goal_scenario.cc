@@ -5,67 +5,43 @@
 #include "src/apps/bursty.h"
 #include "src/apps/composite.h"
 #include "src/apps/experiments.h"
-#include "src/fault/fault_injector.h"
 #include "src/net/bandwidth_monitor.h"
-#include "src/odyssey/warden.h"
 #include "src/powerscope/online_monitor.h"
 #include "src/powerscope/smart_battery.h"
-#include "src/util/check.h"
 
 namespace odapps {
 namespace {
 
-// A fault injector aimed at the bed's link, RPC client, power manager and
-// warden servers, with telemetry kinds hitting `monitor`.
-std::unique_ptr<odfault::FaultInjector> MakeInjector(
-    TestBed& bed, odscope::PowerMonitor* monitor) {
-  odfault::FaultTargets targets;
-  targets.link = &bed.link();
-  targets.rpc = &bed.viceroy().rpc();
-  targets.pm = &bed.laptop().power_manager();
-  for (const char* data_type : {"video", "speech", "map", "web"}) {
-    odyssey::Warden* warden = bed.viceroy().FindWarden(data_type);
-    if (warden != nullptr) {
-      targets.servers.push_back(warden->server());
-    }
-  }
-  targets.monitor = monitor;
-  return std::make_unique<odfault::FaultInjector>(&bed.sim(), targets);
-}
+// The composite application starts once every this often (Section 5.2).
+constexpr odsim::SimDuration kCompositePeriod = odsim::SimDuration::Seconds(25);
 
 }  // namespace
 
 GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
   TestBed bed(TestBed::Options{
-      .seed = options.seed, .hw_pm = true, .link = {}, .trace = options.trace});
+      .seed = options.seed, .hw_pm = true, .trace = options.trace});
   if (options.invert_priorities) {
     bed.speech().set_priority(3);
     bed.video().set_priority(2);
     bed.map().set_priority(1);
     bed.web().set_priority(0);
   }
-  const bool disturbed = !options.fault_plan.empty();
-  if (options.rpc_loss_probability > 0.0 || disturbed) {
+  if (options.rpc_loss_probability > 0.0) {
     odnet::RpcConfig rpc;
     rpc.loss_probability = options.rpc_loss_probability;
-    if (disturbed) {
-      // Bounded retransmission and a per-call deadline: liveness under
-      // outages (same wiring as the fault scenario).
-      rpc.retry_timeout = options.retry_timeout;
-      rpc.max_retries = options.max_retries;
-      rpc.deadline = options.rpc_deadline;
-    }
     bed.viceroy().rpc().set_config(rpc);
   }
-
-  // Under a disturbance plan the viceroy's outage clamp rides along: a dead
-  // link clamps fidelity until health returns.  No bandwidth *expectations*
-  // are registered — the goal director owns routine fidelity decisions here.
+  // Under a disturbance plan the degraded transport and the viceroy's
+  // outage clamp ride along: a dead link clamps fidelity until health
+  // returns.  No bandwidth *expectations* are registered — the goal director
+  // owns routine fidelity decisions here.
+  const bool disturbed = !options.fault_plan.empty();
+  std::optional<DegradedClient> degraded;
   std::unique_ptr<odnet::BandwidthMonitor> bw_monitor;
   if (disturbed) {
-    bed.viceroy().set_recovery_hysteresis(options.recovery_hysteresis);
-    bw_monitor = std::make_unique<odnet::BandwidthMonitor>(
-        &bed.sim(), &bed.link(), odnet::BandwidthMonitorConfig{});
+    degraded.emplace(bed, options.seed);
+    bw_monitor =
+        std::make_unique<odnet::BandwidthMonitor>(&bed.sim(), &bed.link());
     bw_monitor->set_health_callback(
         [&bed](odsim::SimTime, const odnet::BandwidthEstimate& estimate) {
           bed.viceroy().NotifyLinkHealth(estimate);
@@ -112,11 +88,6 @@ GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
     director.AttachLearnedEstimator(learned.get());
   }
 
-  std::unique_ptr<odfault::FaultInjector> injector;
-  if (disturbed) {
-    injector = MakeInjector(bed, monitor.get());
-  }
-
   // Workload.
   CompositeApp composite(&bed.sim(), &bed.speech(), &bed.web(), &bed.map());
   std::unique_ptr<BurstyWorkload> bursty;
@@ -129,7 +100,7 @@ GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
                                               &bed.map(), &bed.rng());
     bursty->Start();
   } else {
-    composite.StartPeriodic(options.composite_period);
+    composite.StartPeriodic(kCompositePeriod);
     bed.video().PlayLooping(StandardVideoClips()[0]);
   }
 
@@ -148,8 +119,8 @@ GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
   if (bw_monitor != nullptr) {
     bw_monitor->Start();
   }
-  if (injector != nullptr) {
-    injector->Arm(options.fault_plan);
+  if (degraded.has_value()) {
+    degraded->Arm(options.fault_plan, monitor.get());
   }
   director.Start(/*stop_sim_on_completion=*/true);
   // Safety valve: infeasible configurations should end, not hang.
@@ -224,30 +195,22 @@ GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
 double MeasurePinnedLifetime(double initial_joules, bool lowest_fidelity,
                              uint64_t seed,
                              const odfault::FaultPlan& fault_plan) {
-  TestBed bed(TestBed::Options{.seed = seed, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = seed, .hw_pm = true});
   if (lowest_fidelity) {
     bed.speech().SetFidelity(0);
     bed.video().SetFidelity(0);
     bed.map().SetFidelity(0);
     bed.web().SetFidelity(0);
   }
-  // Injection target for telemetry kinds: a monitor nothing reads (the
-  // pinned run has no director).  Never started, so it costs nothing.
-  odscope::OnlineMonitor idle_monitor(&bed.sim(), &bed.laptop().machine(),
-                                      odscope::OnlineMonitorConfig{},
-                                      seed ^ 0xf00dULL);
-  std::unique_ptr<odfault::FaultInjector> injector;
+  // Telemetry kinds hit a monitor nothing reads: the pinned run has no
+  // director.
+  std::optional<DegradedClient> degraded;
   if (!fault_plan.empty()) {
-    odnet::RpcConfig rpc;
-    rpc.retry_timeout = odsim::SimDuration::Millis(500);
-    rpc.max_retries = 5;
-    rpc.deadline = odsim::SimDuration::Seconds(10);
-    bed.viceroy().rpc().set_config(rpc);
-    injector = MakeInjector(bed, &idle_monitor);
+    degraded.emplace(bed, seed);
   }
   Settle(bed);
-  if (injector != nullptr) {
-    injector->Arm(fault_plan);
+  if (degraded.has_value()) {
+    degraded->Arm(fault_plan);
   }
 
   odsim::SimTime start = bed.sim().Now();
@@ -255,7 +218,7 @@ double MeasurePinnedLifetime(double initial_joules, bool lowest_fidelity,
   odpower::EnergySupply supply(&bed.laptop().accounting(), initial_joules);
 
   CompositeApp composite(&bed.sim(), &bed.speech(), &bed.web(), &bed.map());
-  composite.StartPeriodic(odsim::SimDuration::Seconds(25));
+  composite.StartPeriodic(kCompositePeriod);
   bed.video().PlayLooping(StandardVideoClips()[0]);
 
   // Poll for exhaustion at one-second granularity.

@@ -34,10 +34,9 @@ struct GoalScenarioOptions {
   odsim::SimDuration goal = odsim::SimDuration::Seconds(1200);
   odenergy::GoalDirectorConfig director;
 
-  // Workload: composite every `composite_period` + looping video
-  // (Section 5.2), or the stochastic bursty workload (Section 5.4).
+  // Workload: composite every 25 s + looping video (Section 5.2), or the
+  // stochastic bursty workload (Section 5.4).
   bool bursty = false;
-  odsim::SimDuration composite_period = odsim::SimDuration::Seconds(25);
 
   // Generic workload hook: when set, replaces the built-in workloads above.
   // Called after Settle() with the run's TestBed; drives whatever it likes
@@ -76,16 +75,12 @@ struct GoalScenarioOptions {
   // Disturbance plan (odfault grammar) armed at scenario start; empty =
   // a clean run, bit-identical to the pre-fault-support scenario.  When a
   // plan is armed the scenario also wires the graceful-degradation
-  // machinery the fault scenario uses: bounded RPC retries plus a
-  // per-call deadline (liveness under outages) and a bandwidth-health
-  // monitor driving the viceroy's outage clamp.  Telemetry fault kinds
-  // target the power monitor feeding the goal director.
+  // machinery the fault scenario uses (DegradedClient: bounded RPC retries
+  // plus a per-call deadline, for liveness under outages) and a
+  // bandwidth-health monitor driving the viceroy's outage clamp.
+  // Telemetry fault kinds target the power monitor feeding the goal
+  // director.
   odfault::FaultPlan fault_plan;
-  odsim::SimDuration rpc_deadline = odsim::SimDuration::Seconds(10);
-  int max_retries = 5;
-  odsim::SimDuration retry_timeout = odsim::SimDuration::Millis(500);
-  // Consecutive healthy bandwidth estimates before the outage clamp lifts.
-  int recovery_hysteresis = 3;
 
   // Optional 1 Hz probe while the scenario runs — the chaos soak's hook
   // for invariant checks (energy conservation, monotone drain, ...).
@@ -93,7 +88,8 @@ struct GoalScenarioOptions {
 
   // Safety valve for infeasible configurations: the simulation aborts at
   // goal + this slack if neither completion condition fires.
-  odsim::SimDuration max_overrun = odsim::SimDuration::Seconds(600);
+  static constexpr odsim::SimDuration max_overrun =
+      odsim::SimDuration::Seconds(600);
 
   // Record the run's per-component power timeline (see
   // TestBed::Options::trace); returned in GoalScenarioResult::trace.  The

@@ -7,20 +7,11 @@
 namespace odapps {
 
 TestBed::TestBed(const Options& options) : rng_(options.seed) {
-  if (options.sim != nullptr) {
-    sim_ = options.sim;
-  } else {
-    owned_sim_ = std::make_unique<odsim::Simulator>();
-    sim_ = owned_sim_.get();
-  }
-  laptop_ = odpower::MakeThinkPad560X(sim_);
-  link_ = std::make_unique<odnet::Link>(sim_, &laptop_->power_manager(),
-                                        options.link);
-  viceroy_ = std::make_unique<odyssey::Viceroy>(sim_, link_.get(),
+  laptop_ = odpower::MakeThinkPad560X(&sim_);
+  link_ = std::make_unique<odnet::Link>(&sim_, &laptop_->power_manager(),
+                                        odnet::LinkConfig{});
+  viceroy_ = std::make_unique<odyssey::Viceroy>(&sim_, link_.get(),
                                                 &laptop_->power_manager());
-  if (options.services) {
-    viceroy_->set_service_provider(options.services);
-  }
   arbiter_ = std::make_unique<DisplayArbiter>(&laptop_->power_manager());
 
   // Priorities follow Section 5.2: Speech lowest, then Video, Map, Web.
@@ -33,19 +24,44 @@ TestBed::TestBed(const Options& options) : rng_(options.seed) {
 
   if (options.trace) {
     tracer_ = std::make_unique<odscope::TraceRecorder>(&laptop_->machine(),
-                                                       sim_->Now());
+                                                       sim_.Now());
   }
 }
 
 TestBed::~TestBed() = default;
 
+DegradedClient::DegradedClient(TestBed& bed, uint64_t seed)
+    : bed_(bed),
+      idle_monitor_(&bed.sim(), &bed.laptop().machine(),
+                    odscope::OnlineMonitorConfig{}, seed ^ 0xf00dULL) {
+  odnet::RpcConfig rpc = bed.viceroy().rpc().config();
+  rpc.retry_timeout = odsim::SimDuration::Millis(500);
+  rpc.max_retries = 5;
+  rpc.deadline = odsim::SimDuration::Seconds(10);
+  bed.viceroy().rpc().set_config(rpc);
+}
+
+void DegradedClient::Arm(const odfault::FaultPlan& plan,
+                         odscope::PowerMonitor* monitor) {
+  OD_CHECK_MSG(injector_ == nullptr, "DegradedClient::Arm called twice");
+  odfault::FaultTargets targets;
+  targets.link = &bed_.link();
+  targets.rpc = &bed_.viceroy().rpc();
+  targets.pm = &bed_.laptop().power_manager();
+  for (const char* data_type : {"video", "speech", "map", "web"}) {
+    odyssey::Warden* warden = bed_.viceroy().FindWarden(data_type);
+    if (warden != nullptr) {
+      targets.servers.push_back(warden->server());
+    }
+  }
+  targets.monitor = monitor != nullptr ? monitor : &idle_monitor_;
+  injector_ = std::make_unique<odfault::FaultInjector>(&bed_.sim(), targets);
+  injector_->Arm(plan);
+}
+
 void TestBed::SetHardwarePm(bool enabled) {
   laptop_->power_manager().SetHardwarePmEnabled(enabled);
   arbiter_->set_off_when_idle(enabled);
-}
-
-bool TestBed::hardware_pm() const {
-  return laptop_->power_manager().hardware_pm_enabled();
 }
 
 double TestBed::Measurement::Component(const std::string& name) const {
@@ -60,7 +76,7 @@ double TestBed::Measurement::Process(const std::string& name) const {
 
 TestBed::Measurement TestBed::Measure(
     const std::function<void(odsim::EventFn done)>& body) {
-  odsim::SimTime start = sim_->Now();
+  odsim::SimTime start = sim_.Now();
   laptop_->accounting().Reset(start);
   if (tracer_ != nullptr) {
     tracer_->Restart(start);
@@ -69,25 +85,25 @@ TestBed::Measurement TestBed::Measure(
   bool finished = false;
   body([this, &finished] {
     finished = true;
-    sim_->Stop();
+    sim_.Stop();
   });
-  sim_->Run();
+  sim_.Run();
   OD_CHECK_MSG(finished, "workload did not signal completion");
   return Collect(start);
 }
 
 TestBed::Measurement TestBed::MeasureFor(odsim::SimDuration duration) {
-  odsim::SimTime start = sim_->Now();
+  odsim::SimTime start = sim_.Now();
   laptop_->accounting().Reset(start);
   if (tracer_ != nullptr) {
     tracer_->Restart(start);
   }
-  sim_->RunUntil(start + duration);
+  sim_.RunUntil(start + duration);
   return Collect(start);
 }
 
 TestBed::Measurement TestBed::Collect(odsim::SimTime start) {
-  odsim::SimTime now = sim_->Now();
+  odsim::SimTime now = sim_.Now();
   odpower::EnergyAccounting& accounting = laptop_->accounting();
 
   Measurement m;
@@ -102,7 +118,7 @@ TestBed::Measurement TestBed::Collect(odsim::SimTime start) {
 
   for (odsim::ProcessId pid : accounting.Processes(now)) {
     odpower::ContextUsage usage = accounting.ProcessUsage(pid, now);
-    const std::string& name = sim_->processes().ProcessName(pid);
+    const std::string& name = sim_.processes().ProcessName(pid);
     m.by_process[name] = usage.joules;
     m.cpu_seconds[name] = usage.cpu_seconds;
   }

@@ -17,9 +17,12 @@
 #include "src/apps/speech_recognizer.h"
 #include "src/apps/video_player.h"
 #include "src/apps/web_browser.h"
+#include "src/fault/fault_injector.h"
+#include "src/fault/fault_plan.h"
 #include "src/net/link.h"
 #include "src/odyssey/viceroy.h"
 #include "src/power/thinkpad560x.h"
+#include "src/powerscope/online_monitor.h"
 #include "src/powerscope/trace_recorder.h"
 #include "src/sim/simulator.h"
 #include "src/trace/power_trace.h"
@@ -32,18 +35,6 @@ class TestBed {
   struct Options {
     uint64_t seed = 1;
     bool hw_pm = false;
-    odnet::LinkConfig link;
-    // Optional external simulator: fleet scenarios place several testbeds
-    // in one event loop so their wardens can share services.  When null
-    // the testbed owns a private simulator (the classic single client).
-    odsim::Simulator* sim = nullptr;
-    // Optional shared-service provider, installed on the viceroy before
-    // the applications register their wardens: each warden attaches as a
-    // session on the service returned for its data type instead of
-    // creating a private server.  A default-configured shared service is
-    // event-for-event identical to a private server, so a fleet of one
-    // wired this way reproduces the single-client goldens.
-    odyssey::Viceroy::ServiceProviderFn services;
     // Record per-component power traces: attaches an odscope::TraceRecorder
     // to the machine, and every Measure()/MeasureFor() returns its window's
     // trace alongside the scalar breakdowns.  The recorder observes draws
@@ -58,7 +49,7 @@ class TestBed {
   TestBed(const TestBed&) = delete;
   TestBed& operator=(const TestBed&) = delete;
 
-  odsim::Simulator& sim() { return *sim_; }
+  odsim::Simulator& sim() { return sim_; }
   odpower::Laptop& laptop() { return *laptop_; }
   odnet::Link& link() { return *link_; }
   odyssey::Viceroy& viceroy() { return *viceroy_; }
@@ -76,7 +67,6 @@ class TestBed {
   // Enables/disables hardware power management (disk spin-down, network
   // standby, display off when no visual app is active).
   void SetHardwarePm(bool enabled);
-  bool hardware_pm() const;
 
   // -- Measurement -----------------------------------------------------------
 
@@ -119,8 +109,7 @@ class TestBed {
  private:
   Measurement Collect(odsim::SimTime start);
 
-  std::unique_ptr<odsim::Simulator> owned_sim_;
-  odsim::Simulator* sim_;
+  odsim::Simulator sim_;
   odutil::Rng rng_;
   std::unique_ptr<odpower::Laptop> laptop_;
   std::unique_ptr<odnet::Link> link_;
@@ -131,6 +120,31 @@ class TestBed {
   std::unique_ptr<WebBrowser> web_;
   std::unique_ptr<MapViewer> map_;
   std::unique_ptr<odscope::TraceRecorder> tracer_;
+};
+
+// The graceful-degradation wiring of a testbed run under a fault plan.
+// Construction installs the degraded transport on the viceroy's RPC client,
+// keeping its loss probability: a 500 ms first retry, 5 retries and a 10 s
+// per-call deadline, so no fetch can wedge on a dead link.  Arm() aims a
+// fault injector at the bed's link, RPC client, power manager and warden
+// servers and schedules the plan.  Telemetry kinds hit `monitor`, or, when
+// it is null, a never-started monitor that nothing reads, so any plan the
+// grammar accepts is legal.
+class DegradedClient {
+ public:
+  DegradedClient(TestBed& bed, uint64_t seed);
+
+  DegradedClient(const DegradedClient&) = delete;
+  DegradedClient& operator=(const DegradedClient&) = delete;
+
+  // May be called once.
+  void Arm(const odfault::FaultPlan& plan,
+           odscope::PowerMonitor* monitor = nullptr);
+
+ private:
+  TestBed& bed_;
+  odscope::OnlineMonitor idle_monitor_;
+  std::unique_ptr<odfault::FaultInjector> injector_;
 };
 
 }  // namespace odapps

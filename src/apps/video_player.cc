@@ -50,15 +50,19 @@ VideoPlayer::Config VideoPlayer::EffectiveConfig() const {
   }
   switch (fidelity_) {
     case 0:
-      return Config{VideoTrack::kPremiereC, 0.25, 0.5, /*dim_display=*/true};
+      return Config{.track = VideoTrack::kPremiereC,
+                    .window_scale = 0.25,
+                    .rate_scale = 0.5,
+                    .dim_display = true};
     case 1:
-      return Config{VideoTrack::kPremiereC, kVideoCal.reduced_window_scale};
+      return Config{.track = VideoTrack::kPremiereC,
+                    .window_scale = kVideoCal.reduced_window_scale};
     case 2:
-      return Config{VideoTrack::kPremiereC, 1.0};
+      return Config{.track = VideoTrack::kPremiereC};
     case 3:
-      return Config{VideoTrack::kPremiereB, 1.0};
+      return Config{.track = VideoTrack::kPremiereB};
     default:
-      return Config{VideoTrack::kBaseline, 1.0};
+      return Config{.track = VideoTrack::kBaseline};
   }
 }
 
@@ -80,12 +84,6 @@ void VideoPlayer::ReacquireDisplay() {
 
 void VideoPlayer::SetConfigOverride(const Config& config) {
   override_ = config;
-  ReacquireDisplay();
-  UpdateZones();
-}
-
-void VideoPlayer::ClearConfigOverride() {
-  override_.reset();
   ReacquireDisplay();
   UpdateZones();
 }

@@ -69,9 +69,8 @@ class VideoPlayer : public odyssey::AdaptiveApplication {
   bool playing() const { return playing_; }
 
   // Pins track/window regardless of the fidelity ladder (used by the
-  // Figure 6 sweeps); cleared with ClearConfigOverride().
+  // Figure 6 sweeps).
   void SetConfigOverride(const Config& config);
-  void ClearConfigOverride();
 
   Config EffectiveConfig() const;
 

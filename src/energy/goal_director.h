@@ -164,9 +164,6 @@ class GoalDirector {
   // corrected by the telemetry debit and the drift charge-back.
   double EstimatedResidualJoules() const;
 
-  // Residual energy, ground truth.
-  double TrueResidualJoules(odsim::SimTime now) { return supply_->ResidualJoules(now); }
-
   const std::vector<TimelinePoint>& timeline() const { return timeline_; }
   const std::vector<FidelityChange>& FidelityLog(
       const odyssey::AdaptiveApplication* app) const;

@@ -42,7 +42,7 @@ double LearnedEstimator::OnSample(odsim::SimTime now, double gauge_watts,
   // must not rot while the clock is stopped.
   if (window_seconds > 0.0 && record.seconds > 0.0) {
     double tau = 2.0 * window_seconds /
-                 std::max(1e-6, 1.0 - model_.config().forgetting);
+                 std::max(1e-6, 1.0 - odpower::LearnedModel::kForgetting);
     record.seconds *=
         std::exp(-(trained_seconds_total_ - record.trained_at) / tau);
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/util/check.h"
 #include "src/util/rng.h"
 
 namespace odfault {
@@ -18,6 +17,24 @@ constexpr FaultKind kAllKinds[] = {
     FaultKind::kStaleTelemetry, FaultKind::kNanTelemetry,
     FaultKind::kGaugeDrift,   FaultKind::kGaugeRamp,
 };
+
+// GenerateChaosPlan's window count, horizon and window lengths.
+constexpr int kMinEvents = 2;
+constexpr int kMaxEvents = 6;
+constexpr double kHorizonSeconds = 240.0;
+constexpr double kMinDurationSeconds = 5.0;
+constexpr double kMaxDurationSeconds = 60.0;
+
+// GenerateScenarioChaosPlan's noise-window count and lengths.
+constexpr int kMinNoiseEvents = 1;
+constexpr int kMaxNoiseEvents = 3;
+constexpr double kMinNoiseSeconds = 5.0;
+constexpr double kMaxNoiseSeconds = 30.0;
+// Gauge/ramp noise magnitudes are drawn from [1 - band, 1 + band].  The
+// sentinel tolerates 10% gauge/learned divergence and the learned model
+// itself runs a few percent off under busy scenarios, so +-2% is the
+// realistic wobble that must NOT compound into a drift verdict.
+constexpr double kGaugeNoiseBand = 0.02;
 
 // Round to 3 decimals so the plan's canonical spelling (its repro string)
 // stays short; the rendering itself is exact at any precision.
@@ -47,13 +64,10 @@ double DrawMagnitude(FaultKind kind, odutil::Rng& rng) {
 
 }  // namespace
 
-FaultPlan GenerateChaosPlan(uint64_t seed, const ChaosPlanConfig& config) {
-  OD_CHECK(config.min_events >= 0 && config.max_events >= config.min_events);
-  OD_CHECK(config.min_duration_seconds > 0.0 &&
-           config.max_duration_seconds >= config.min_duration_seconds);
+FaultPlan GenerateChaosPlan(uint64_t seed) {
   odutil::Rng rng(seed ^ 0xc4a05ULL);
   FaultPlan plan;
-  int events = rng.UniformInt(config.min_events, config.max_events);
+  int events = rng.UniformInt(kMinEvents, kMaxEvents);
   for (int i = 0; i < events; ++i) {
     FaultEvent event;
     event.kind = kAllKinds[rng.UniformInt(
@@ -61,10 +75,10 @@ FaultPlan GenerateChaosPlan(uint64_t seed, const ChaosPlanConfig& config) {
     // Duration first, then a start that keeps the whole window inside the
     // horizon — a window past the horizon is dead weight the run never
     // replays against.
-    event.duration = odsim::SimDuration::Seconds(Round3(rng.Uniform(
-        config.min_duration_seconds, config.max_duration_seconds)));
+    event.duration = odsim::SimDuration::Seconds(
+        Round3(rng.Uniform(kMinDurationSeconds, kMaxDurationSeconds)));
     double latest_start =
-        std::max(0.0, config.horizon_seconds - event.duration.seconds());
+        std::max(0.0, kHorizonSeconds - event.duration.seconds());
     event.at =
         odsim::SimDuration::Seconds(Round3(rng.Uniform(0.0, latest_start)));
     event.magnitude = DrawMagnitude(event.kind, rng);
@@ -79,12 +93,7 @@ FaultPlan GenerateChaosPlan(uint64_t seed, const ChaosPlanConfig& config) {
 
 FaultPlan GenerateScenarioChaosPlan(uint64_t seed,
                                     const FaultPlan& environment,
-                                    const ScenarioChaosConfig& config) {
-  OD_CHECK(config.min_noise_events >= 0 &&
-           config.max_noise_events >= config.min_noise_events);
-  OD_CHECK(config.min_duration_seconds > 0.0 &&
-           config.max_duration_seconds >= config.min_duration_seconds);
-  OD_CHECK(config.gauge_noise_band > 0.0 && config.gauge_noise_band < 1.0);
+                                    double horizon_seconds) {
   // A distinct stream from the random generator: the same seed must not
   // yield correlated random-mode and scenario-mode plans.
   odutil::Rng rng(seed ^ 0x5c40c5ULL);
@@ -95,21 +104,21 @@ FaultPlan GenerateScenarioChaosPlan(uint64_t seed,
       FaultKind::kGaugeDrift,
       FaultKind::kGaugeRamp,
   };
-  int events = rng.UniformInt(config.min_noise_events, config.max_noise_events);
+  int events = rng.UniformInt(kMinNoiseEvents, kMaxNoiseEvents);
   for (int i = 0; i < events; ++i) {
     FaultEvent event;
     event.kind = kNoiseKinds[rng.UniformInt(
         0, static_cast<int>(std::size(kNoiseKinds)) - 1)];
-    event.duration = odsim::SimDuration::Seconds(Round3(rng.Uniform(
-        config.min_duration_seconds, config.max_duration_seconds)));
+    event.duration = odsim::SimDuration::Seconds(
+        Round3(rng.Uniform(kMinNoiseSeconds, kMaxNoiseSeconds)));
     double latest_start =
-        std::max(0.0, config.horizon_seconds - event.duration.seconds());
+        std::max(0.0, horizon_seconds - event.duration.seconds());
     event.at =
         odsim::SimDuration::Seconds(Round3(rng.Uniform(0.0, latest_start)));
     if (event.kind == FaultKind::kGaugeDrift ||
         event.kind == FaultKind::kGaugeRamp) {
-      event.magnitude = Round3(rng.Uniform(1.0 - config.gauge_noise_band,
-                                           1.0 + config.gauge_noise_band));
+      event.magnitude =
+          Round3(rng.Uniform(1.0 - kGaugeNoiseBand, 1.0 + kGaugeNoiseBand));
     }
     plan.events.push_back(event);
   }

@@ -16,45 +16,23 @@
 
 namespace odfault {
 
-struct ChaosPlanConfig {
-  int min_events = 2;
-  int max_events = 6;
-  // Every window fits inside [0, horizon_seconds]: duration is drawn from
-  // [min_duration_seconds, max_duration_seconds] first, then the start from
-  // [0, horizon - duration].  Windows may overlap (the injector nests and
-  // restores); the plan is ordered by start time.
-  double horizon_seconds = 240.0;
-  double min_duration_seconds = 5.0;
-  double max_duration_seconds = 60.0;
-};
-
-FaultPlan GenerateChaosPlan(uint64_t seed,
-                            const ChaosPlanConfig& config = ChaosPlanConfig{});
+// Two to six windows, each 5-60 s long and inside [0, 240 s]: the duration
+// is drawn first, then the start from [0, 240 s - duration].  Windows may
+// overlap (the injector nests and restores); the plan is ordered by start
+// time.
+FaultPlan GenerateChaosPlan(uint64_t seed);
 
 // Scenario-derived chaos: instead of purely random windows, start from the
 // environment a user-behavior scenario implies (its coverage gaps, as
 // Scenario::DerivedFaultPlan() renders them) and layer realistic telemetry
-// noise on top — short sample dropouts, stale spans, and gauge scale
-// wobble held inside `gauge_noise_band` of nominal.  The band sits well
-// under the drift sentinel's divergence threshold, so any drift episode a
-// soak run records under such a plan is a false positive by construction;
-// the soak bounds their rate.
-struct ScenarioChaosConfig {
-  int min_noise_events = 1;
-  int max_noise_events = 3;
-  double horizon_seconds = 240.0;
-  double min_duration_seconds = 5.0;
-  double max_duration_seconds = 30.0;
-  // Gauge/ramp magnitudes are drawn from [1 - band, 1 + band].  The
-  // sentinel tolerates 10% gauge/learned divergence and the learned model
-  // itself runs a few percent off under busy scenarios, so +-2% is the
-  // realistic wobble that must NOT compound into a drift verdict.
-  double gauge_noise_band = 0.02;
-};
-
-FaultPlan GenerateScenarioChaosPlan(
-    uint64_t seed, const FaultPlan& environment,
-    const ScenarioChaosConfig& config = ScenarioChaosConfig{});
+// noise on top — one to three short (5-30 s) sample dropouts, stale spans,
+// and gauge scale wobbles inside [0, horizon_seconds], the wobble held
+// within 2% of nominal.  That band sits well under the drift sentinel's
+// divergence threshold, so any drift episode a soak run records under
+// such a plan is a false positive by construction; the soak bounds their
+// rate.
+FaultPlan GenerateScenarioChaosPlan(uint64_t seed, const FaultPlan& environment,
+                                    double horizon_seconds = 240.0);
 
 }  // namespace odfault
 

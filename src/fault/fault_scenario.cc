@@ -6,14 +6,15 @@
 #include "src/apps/data_objects.h"
 #include "src/apps/experiments.h"
 #include "src/apps/testbed.h"
-#include "src/fault/fault_injector.h"
 #include "src/net/bandwidth_monitor.h"
 #include "src/odyssey/warden.h"
-#include "src/powerscope/online_monitor.h"
-#include "src/util/check.h"
 
 namespace odfault {
 namespace {
+
+// Think time between pages, maps and utterances; short so the loops
+// exercise the network often enough to meet faults.
+constexpr double kThinkSeconds = 2.0;
 
 int WardenFailures(odyssey::Viceroy& viceroy, const char* data_type) {
   odyssey::Warden* warden = viceroy.FindWarden(data_type);
@@ -24,25 +25,19 @@ int WardenFailures(odyssey::Viceroy& viceroy, const char* data_type) {
 
 FaultScenarioResult RunFaultScenario(const FaultScenarioOptions& options) {
   odapps::TestBed bed(odapps::TestBed::Options{
-      .seed = options.seed, .hw_pm = true, .link = {}, .trace = options.trace});
+      .seed = options.seed, .hw_pm = true, .trace = options.trace});
 
   // Bounded retransmission and a per-call deadline: the liveness half of
   // graceful degradation.  Without the deadline an outage would park every
   // fetch on the dead link's queue forever.
-  odnet::RpcConfig rpc;
-  rpc.retry_timeout = options.retry_timeout;
-  rpc.max_retries = options.max_retries;
-  rpc.deadline = options.rpc_deadline;
-  bed.viceroy().rpc().set_config(rpc);
-  bed.viceroy().set_recovery_hysteresis(options.recovery_hysteresis);
+  odapps::DegradedClient degraded(bed, options.seed);
 
-  bed.web().set_think_seconds(options.think_seconds);
-  bed.map().set_think_seconds(options.think_seconds);
+  bed.web().set_think_seconds(kThinkSeconds);
+  bed.map().set_think_seconds(kThinkSeconds);
 
   // Bandwidth expectations drive ordinary adaptation when the channel
   // merely degrades; the health callback drives the clamp when it dies.
-  odnet::BandwidthMonitor monitor(&bed.sim(), &bed.link(),
-                                  odnet::BandwidthMonitorConfig{});
+  odnet::BandwidthMonitor monitor(&bed.sim(), &bed.link());
   monitor.set_callback([&bed](odsim::SimTime, double bps) {
     bed.viceroy().NotifyResourceLevel(odyssey::ResourceId::kNetworkBandwidth, bps);
   });
@@ -55,28 +50,11 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioOptions& options) {
         app, odyssey::ResourceId::kNetworkBandwidth, 8.0e5, 1.6e6);
   }
 
-  FaultTargets targets;
-  targets.link = &bed.link();
-  targets.rpc = &bed.viceroy().rpc();
-  targets.pm = &bed.laptop().power_manager();
-  for (const char* data_type : {"video", "speech", "map", "web"}) {
-    odyssey::Warden* warden = bed.viceroy().FindWarden(data_type);
-    if (warden != nullptr) {
-      targets.servers.push_back(warden->server());
-    }
-  }
-  // Injection target for telemetry kinds, so any plan the grammar accepts
-  // is legal here.  This scenario runs no goal director; the monitor is
-  // never started and the faults land on a feed nothing reads.
-  odscope::OnlineMonitor idle_monitor(&bed.sim(), &bed.laptop().machine(),
-                                      odscope::OnlineMonitorConfig{},
-                                      options.seed ^ 0xf00dULL);
-  targets.monitor = &idle_monitor;
-  FaultInjector injector(&bed.sim(), targets);
-
+  // This scenario runs no goal director: telemetry faults land on a feed
+  // nothing reads.
   odapps::Settle(bed);
   monitor.Start();
-  injector.Arm(options.plan);
+  degraded.Arm(options.plan);
 
   FaultScenarioResult result;
   result.min_video_fidelity = bed.video().current_fidelity();
@@ -111,7 +89,7 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioOptions& options) {
         odapps::StandardUtterances()[result.utterances_recognized % 4], [&] {
           ++result.utterances_recognized;
           bed.sim().Schedule(
-              odsim::SimDuration::Seconds(options.think_seconds), recognize);
+              odsim::SimDuration::Seconds(kThinkSeconds), recognize);
         });
   };
   recognize();

@@ -4,10 +4,12 @@
 // loop, a local speech-recognition loop (vocabulary paging on, so disk
 // faults bite), and a looping background video while the injector replays
 // the plan.
-// The bandwidth monitor feeds both the classic expectation path
-// (NotifyResourceLevel) and the outage clamp (NotifyLinkHealth); the RPC
-// transport gets bounded retries plus a per-call deadline so no fetch can
-// wedge.  The result is a degradation record: energy, useful work done,
+// Pages and maps follow each other after a 2 s think time, short so the
+// loops meet faults often.  The bandwidth monitor feeds both the classic
+// expectation path (NotifyResourceLevel) and the outage clamp
+// (NotifyLinkHealth); the RPC transport gets bounded retries plus a
+// per-call deadline so no fetch can wedge (odapps::DegradedClient).  The
+// result is a degradation record: energy, useful work done,
 // work shed or degraded, typed RPC failures, and clamp behavior.
 
 #ifndef SRC_FAULT_FAULT_SCENARIO_H_
@@ -26,18 +28,6 @@ struct FaultScenarioOptions {
   uint64_t seed = 1;
   FaultPlan plan;
   odsim::SimDuration duration = odsim::SimDuration::Seconds(180);
-
-  // Graceful-degradation knobs on the shared RPC transport.
-  odsim::SimDuration rpc_deadline = odsim::SimDuration::Seconds(10);
-  int max_retries = 5;
-  odsim::SimDuration retry_timeout = odsim::SimDuration::Millis(500);
-
-  // Consecutive healthy bandwidth estimates before the outage clamp lifts.
-  int recovery_hysteresis = 3;
-
-  // Think time between pages/maps; short so the loops exercise the network
-  // often enough to meet faults.
-  double think_seconds = 2.0;
 
   // Record the run's per-component power timeline (see
   // TestBed::Options::trace); returned in FaultScenarioResult::trace.

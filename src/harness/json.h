@@ -38,7 +38,6 @@ class JsonValue {
   static JsonValue MakeObject() { return JsonValue(Object{}); }
 
   Type type() const;
-  bool is_null() const { return type() == Type::kNull; }
   bool is_number() const { return type() == Type::kNumber; }
   bool is_string() const { return type() == Type::kString; }
   bool is_array() const { return type() == Type::kArray; }

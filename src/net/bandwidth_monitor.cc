@@ -3,14 +3,18 @@
 #include "src/util/check.h"
 
 namespace odnet {
+namespace {
 
-BandwidthMonitor::BandwidthMonitor(odsim::Simulator* sim, Link* link,
-                                   const BandwidthMonitorConfig& config)
-    : sim_(sim), link_(link), config_(config) {
+// Estimation period, and the sliding window throughput is averaged over.
+constexpr odsim::SimDuration kPeriod = odsim::SimDuration::Seconds(1);
+constexpr odsim::SimDuration kWindow = odsim::SimDuration::Seconds(5);
+
+}  // namespace
+
+BandwidthMonitor::BandwidthMonitor(odsim::Simulator* sim, Link* link)
+    : sim_(sim), link_(link) {
   OD_CHECK(sim != nullptr);
   OD_CHECK(link != nullptr);
-  OD_CHECK(config.period > odsim::SimDuration::Zero());
-  OD_CHECK(config.window >= config.period);
 }
 
 void BandwidthMonitor::Start() {
@@ -19,7 +23,7 @@ void BandwidthMonitor::Start() {
   observations_.clear();
   observations_.push_back(Observation{sim_->Now(), link_->total_bytes(),
                                       link_->total_busy_seconds()});
-  next_ = sim_->Every(config_.period, [this] { Tick(); });
+  next_ = sim_->Every(kPeriod, [this] { Tick(); });
 }
 
 void BandwidthMonitor::Stop() {
@@ -30,7 +34,7 @@ void BandwidthMonitor::Stop() {
 void BandwidthMonitor::Prune(odsim::SimTime now) const {
   // Keep one observation at or before the window start so diffs span it.
   while (observations_.size() > 1 &&
-         observations_[1].time + config_.window <= now) {
+         observations_[1].time + kWindow <= now) {
     observations_.pop_front();
   }
 }

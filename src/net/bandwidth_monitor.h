@@ -18,13 +18,6 @@
 
 namespace odnet {
 
-struct BandwidthMonitorConfig {
-  // Estimation period.
-  odsim::SimDuration period = odsim::SimDuration::Seconds(1);
-  // Sliding window over which throughput is averaged.
-  odsim::SimDuration window = odsim::SimDuration::Seconds(5);
-};
-
 // One periodic bandwidth estimate, with the health signals the viceroy's
 // outage clamp keys on.  `outage` is the link's hard outage flag; `stale`
 // means transfers are parked while the link's pump is not running — a
@@ -44,8 +37,8 @@ class BandwidthMonitor {
   using EstimateFn = std::function<void(odsim::SimTime, double bps)>;
   using HealthFn = std::function<void(odsim::SimTime, const BandwidthEstimate&)>;
 
-  BandwidthMonitor(odsim::Simulator* sim, Link* link,
-                   const BandwidthMonitorConfig& config);
+  // Estimates once a second over a 5 s sliding window.
+  BandwidthMonitor(odsim::Simulator* sim, Link* link);
 
   BandwidthMonitor(const BandwidthMonitor&) = delete;
   BandwidthMonitor& operator=(const BandwidthMonitor&) = delete;
@@ -78,7 +71,6 @@ class BandwidthMonitor {
 
   odsim::Simulator* sim_;
   Link* link_;
-  BandwidthMonitorConfig config_;
   bool running_ = false;
   odsim::PeriodicHandle next_;
   EstimateFn callback_;

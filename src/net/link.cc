@@ -5,6 +5,15 @@
 #include "src/util/check.h"
 
 namespace odnet {
+namespace {
+
+// Fixed per-transfer setup latency (media access + driver).
+constexpr odsim::SimDuration kSetupLatency = odsim::SimDuration::Millis(5);
+// CPU time of one interrupt batch (LinkConfig::interrupt_batch_bytes).
+constexpr odsim::SimDuration kInterruptCpuPerBatch =
+    odsim::SimDuration::Millis(3);
+
+}  // namespace
 
 Link::Link(odsim::Simulator* sim, odpower::PowerManager* pm, const LinkConfig& config)
     : sim_(sim), pm_(pm), config_(config) {
@@ -32,7 +41,7 @@ void Link::SetOutage(bool outage) {
 
 odsim::SimDuration Link::TransferTime(size_t bytes) const {
   double seconds = static_cast<double>(bytes) * 8.0 / config_.bandwidth_bps;
-  return config_.setup_latency + odsim::SimDuration::Seconds(seconds);
+  return kSetupLatency + odsim::SimDuration::Seconds(seconds);
 }
 
 void Link::Transfer(Direction direction, size_t bytes, odsim::EventFn on_done) {
@@ -65,7 +74,7 @@ void Link::StartNext() {
                                         static_cast<double>(batches + 1));
     sim_->Schedule(at, [this] {
       sim_->SubmitWork(interrupt_pid_, interrupt_proc_,
-                       config_.interrupt_cpu_per_batch, nullptr);
+                       kInterruptCpuPerBatch, nullptr);
     });
   }
 

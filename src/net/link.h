@@ -25,12 +25,9 @@ enum class Direction {
 struct LinkConfig {
   // Channel rate in bits per second (2 Mb/s WaveLAN).
   double bandwidth_bps = 2.0e6;
-  // Fixed per-transfer setup latency (media access + driver).
-  odsim::SimDuration setup_latency = odsim::SimDuration::Millis(5);
-  // Interrupt-handler work: one batch per this many bytes transferred...
+  // Interrupt-handler work: one batch, costing 3 ms of CPU time attributed
+  // to Interrupts-WaveLAN, per this many bytes transferred.
   size_t interrupt_batch_bytes = 16 * 1024;
-  // ...costing this much CPU time, attributed to Interrupts-WaveLAN.
-  odsim::SimDuration interrupt_cpu_per_batch = odsim::SimDuration::Millis(3);
 };
 
 class Link {
@@ -51,8 +48,6 @@ class Link {
   int queued_transfers() const {
     return static_cast<int>(queue_.size()) + (active_ ? 1 : 0);
   }
-
-  const LinkConfig& config() const { return config_; }
 
   // Duration the channel needs for `bytes` (excluding queueing).
   odsim::SimDuration TransferTime(size_t bytes) const;

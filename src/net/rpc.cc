@@ -6,6 +6,15 @@
 #include "src/util/check.h"
 
 namespace odnet {
+namespace {
+
+// Retransmission backoff: each wait doubles, up to a cap, and is scaled
+// by a uniform jitter factor in [1 - kRetryJitter, 1 + kRetryJitter].
+constexpr double kBackoffFactor = 2.0;
+constexpr odsim::SimDuration kMaxRetryTimeout = odsim::SimDuration::Seconds(16);
+constexpr double kRetryJitter = 0.1;
+
+}  // namespace
 
 RpcClient::RpcClient(odsim::Simulator* sim, Link* link, odpower::PowerManager* pm,
                      uint64_t loss_seed)
@@ -18,10 +27,8 @@ RpcClient::RpcClient(odsim::Simulator* sim, Link* link, odpower::PowerManager* p
 void RpcClient::set_config(const RpcConfig& config) {
   OD_CHECK(config.loss_probability >= 0.0 && config.loss_probability < 1.0);
   OD_CHECK(config.max_retries >= 0);
-  OD_CHECK(config.backoff_factor >= 1.0);
   OD_CHECK(config.retry_timeout > odsim::SimDuration::Zero());
-  OD_CHECK(config.max_retry_timeout >= config.retry_timeout);
-  OD_CHECK(config.retry_jitter >= 0.0 && config.retry_jitter < 1.0);
+  OD_CHECK(config.retry_timeout <= kMaxRetryTimeout);
   config_ = config;
 }
 
@@ -109,15 +116,11 @@ odsim::SimDuration RpcClient::BackoffDelay(int retry_index) {
   // retry_index is 0-based: the first retransmission waits retry_timeout.
   double scale = 1.0;
   for (int i = 0; i < retry_index; ++i) {
-    scale *= config_.backoff_factor;
+    scale *= kBackoffFactor;
   }
   odsim::SimDuration base =
-      std::min(config_.retry_timeout * scale, config_.max_retry_timeout);
-  if (config_.retry_jitter > 0.0) {
-    base = base * rng_.Uniform(1.0 - config_.retry_jitter,
-                               1.0 + config_.retry_jitter);
-  }
-  return base;
+      std::min(config_.retry_timeout * scale, kMaxRetryTimeout);
+  return base * rng_.Uniform(1.0 - kRetryJitter, 1.0 + kRetryJitter);
 }
 
 void RpcClient::Attempt(CallRef ref) {

@@ -43,14 +43,10 @@ enum class RpcStatus {
 struct RpcConfig {
   // Probability that any one message (request or reply) is lost.
   double loss_probability = 0.0;
-  // Backoff before the first retransmission; attempt k waits
-  // min(retry_timeout * backoff_factor^(k-1), max_retry_timeout), scaled by
-  // a jitter factor drawn uniformly from [1 - retry_jitter, 1 + retry_jitter]
-  // out of the client's seeded stream.
+  // Backoff before the first retransmission, at most 16 s; attempt k waits
+  // min(retry_timeout * 2^(k-1), 16 s), scaled by a jitter factor drawn
+  // uniformly from [0.9, 1.1] out of the client's seeded stream.
   odsim::SimDuration retry_timeout = odsim::SimDuration::Seconds(2);
-  double backoff_factor = 2.0;
-  odsim::SimDuration max_retry_timeout = odsim::SimDuration::Seconds(16);
-  double retry_jitter = 0.1;
   // Retransmissions before the client gives up (kRetriesExhausted); the
   // original transmission is not a retry, so a call costs at most
   // max_retries + 1 attempts.

@@ -17,11 +17,10 @@ RemoteServer::RemoteServer(odsim::Simulator* sim, std::string name,
   session_ = service_->OpenSession("client");
 }
 
-RemoteServer::RemoteServer(odserve::SharedService* service,
-                           std::string client_name)
+RemoteServer::RemoteServer(odserve::SharedService* service)
     : service_(service) {
   OD_CHECK(service != nullptr);
-  session_ = service_->OpenSession(std::move(client_name));
+  session_ = service_->OpenSession("client");
 }
 
 void RemoteServer::Submit(odsim::SimDuration work, odsim::EventFn on_done) {

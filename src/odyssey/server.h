@@ -30,8 +30,8 @@ class RemoteServer {
   RemoteServer(odsim::Simulator* sim, std::string name, double speed_factor = 1.0);
 
   // Session facade: attaches to an existing shared service as one more
-  // client session.  `client_name` labels the session for attribution.
-  RemoteServer(odserve::SharedService* service, std::string client_name);
+  // client session.
+  explicit RemoteServer(odserve::SharedService* service);
 
   RemoteServer(const RemoteServer&) = delete;
   RemoteServer& operator=(const RemoteServer&) = delete;

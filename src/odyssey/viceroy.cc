@@ -8,6 +8,14 @@
 #include "src/util/logging.h"
 
 namespace odyssey {
+namespace {
+
+// Consecutive healthy link reports (or successful fetches) before a clamp
+// lifts, and consecutive admission rejects that engage the overload clamp.
+constexpr int kRecoveryHysteresis = 3;
+constexpr int kOverloadThreshold = 3;
+
+}  // namespace
 
 Viceroy::Viceroy(odsim::Simulator* sim, odnet::Link* link, odpower::PowerManager* pm)
     : sim_(sim), link_(link), pm_(pm), rpc_(sim, link, pm) {
@@ -34,12 +42,6 @@ void Viceroy::UnregisterApplication(AdaptiveApplication* app) {
 
 Warden* Viceroy::RegisterWarden(std::unique_ptr<Warden> warden) {
   OD_CHECK(warden != nullptr);
-  if (service_provider_ != nullptr) {
-    if (odserve::SharedService* service =
-            service_provider_(warden->data_type())) {
-      return RegisterWarden(std::move(warden), service);
-    }
-  }
   OD_CHECK(FindWarden(warden->data_type()) == nullptr);
   warden->viceroy_ = this;
   warden->server_ =
@@ -55,7 +57,7 @@ Warden* Viceroy::RegisterWarden(std::unique_ptr<Warden> warden,
   OD_CHECK(FindWarden(warden->data_type()) == nullptr);
   warden->viceroy_ = this;
   warden->server_ =
-      std::make_unique<RemoteServer>(service, warden->data_type() + "-client");
+      std::make_unique<RemoteServer>(service);
   wardens_.push_back(std::move(warden));
   return wardens_.back().get();
 }
@@ -94,7 +96,6 @@ int Viceroy::TotalAdaptations() const {
   return total;
 }
 
-void Viceroy::ResetAdaptationCounts() { adaptation_counts_.clear(); }
 
 void Viceroy::RegisterExpectation(AdaptiveApplication* app, ResourceId resource,
                                   double low, double high) {
@@ -135,22 +136,12 @@ void Viceroy::NotifyResourceLevel(ResourceId resource, double value) {
   }
 }
 
-void Viceroy::set_recovery_hysteresis(int ticks) {
-  OD_CHECK(ticks >= 1);
-  recovery_hysteresis_ = ticks;
-}
-
-void Viceroy::set_overload_threshold(int rejects) {
-  OD_CHECK(rejects >= 1);
-  overload_threshold_ = rejects;
-}
-
 void Viceroy::NotifyAdmissionReject() {
   overload_ok_streak_ = 0;
   if (overload_clamp_.engaged()) {
     return;
   }
-  if (++consecutive_rejects_ < overload_threshold_) {
+  if (++consecutive_rejects_ < kOverloadThreshold) {
     return;
   }
   consecutive_rejects_ = 0;
@@ -164,7 +155,7 @@ void Viceroy::NotifyFetchOk() {
   if (!overload_clamp_.engaged()) {
     return;
   }
-  if (++overload_ok_streak_ < recovery_hysteresis_) {
+  if (++overload_ok_streak_ < kRecoveryHysteresis) {
     return;
   }
   overload_ok_streak_ = 0;
@@ -185,7 +176,7 @@ void Viceroy::NotifyLinkHealth(const odnet::BandwidthEstimate& estimate) {
   if (!clamp_.engaged()) {
     return;
   }
-  if (++healthy_streak_ < recovery_hysteresis_) {
+  if (++healthy_streak_ < kRecoveryHysteresis) {
     return;
   }
   healthy_streak_ = 0;

@@ -9,7 +9,6 @@
 #ifndef SRC_ODYSSEY_VICEROY_H_
 #define SRC_ODYSSEY_VICEROY_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -63,17 +62,6 @@ class Viceroy {
   Warden* FindWarden(const std::string& data_type);
   const std::vector<std::unique_ptr<Warden>>& wardens() const { return wardens_; }
 
-  // Service provider: when set, wardens registered through the one-argument
-  // RegisterWarden attach to the service this returns for their data type
-  // (nullptr falls back to a private server).  This is the seam that lets a
-  // full testbed join a fleet's shared services without threading service
-  // pointers through every application constructor.
-  using ServiceProviderFn =
-      std::function<odserve::SharedService*(const std::string& data_type)>;
-  void set_service_provider(ServiceProviderFn provider) {
-    service_provider_ = std::move(provider);
-  }
-
   // -- Upcalls ---------------------------------------------------------------
 
   // Directs `app` to the given fidelity level and records the adaptation.
@@ -82,7 +70,6 @@ class Viceroy {
 
   int AdaptationCount(const AdaptiveApplication* app) const;
   int TotalAdaptations() const;
-  void ResetAdaptationCounts();
 
   // -- Resource expectations (the original Odyssey API) ----------------------
 
@@ -102,33 +89,31 @@ class Viceroy {
   // application is clamped to its lowest fidelity and expectation-driven
   // upcalls are suppressed — during an outage there is no bandwidth signal
   // worth reacting to, and the cheapest fidelity minimizes the work wasted
-  // on a dead channel.  Pre-clamp levels are restored only after
-  // `recovery_hysteresis` consecutive healthy reports, so a flapping link
-  // does not whipsaw fidelity.
+  // on a dead channel.  Pre-clamp levels are restored only after three
+  // consecutive healthy reports, so a flapping link does not whipsaw
+  // fidelity.
   void NotifyLinkHealth(const odnet::BandwidthEstimate& estimate);
 
   bool link_clamped() const { return clamp_.engaged(); }
   // Times the clamp engaged (distinct unhealthy episodes).
   int outage_clamps() const { return clamp_.engagements(); }
-  void set_recovery_hysteresis(int ticks);
 
   // -- Server overload and the overload clamp --------------------------------
 
   // Wardens report keyed-fetch outcomes here.  A run of consecutive
-  // admission rejects (>= overload_threshold) means the shared service is
+  // admission rejects (three or more) means the shared service is
   // saturated: every app is clamped to its cheapest fidelity, which both
   // shrinks this device's demand and — because low fidelity keys repeat —
   // raises the chance later fetches hit the service cache.  The clamp
-  // releases after `recovery_hysteresis` consecutive successful fetches,
-  // the same hysteresis discipline as the link clamp, so a service
-  // hovering at capacity does not whipsaw fidelity.
+  // releases after three consecutive successful fetches, the same
+  // hysteresis discipline as the link clamp, so a service hovering at
+  // capacity does not whipsaw fidelity.
   void NotifyAdmissionReject();
   void NotifyFetchOk();
 
   bool overload_clamped() const { return overload_clamp_.engaged(); }
   // Times the overload clamp engaged (distinct saturation episodes).
   int overload_clamps() const { return overload_clamp_.engagements(); }
-  void set_overload_threshold(int rejects);
 
   // -- Shared plumbing -------------------------------------------------------
 
@@ -152,7 +137,6 @@ class Viceroy {
 
   std::vector<AdaptiveApplication*> apps_;
   std::vector<std::unique_ptr<Warden>> wardens_;
-  ServiceProviderFn service_provider_;
   std::unordered_map<const AdaptiveApplication*, int> adaptation_counts_;
   std::vector<Expectation> expectations_;
 
@@ -160,14 +144,12 @@ class Viceroy {
   // shared with the energy layer's controller safe mode).
   FidelityClamp clamp_{this};
   int healthy_streak_ = 0;
-  int recovery_hysteresis_ = 3;
 
   // Overload clamp state; independent of the outage clamp (both may be
   // engaged at once, each restores the levels it saved).
   FidelityClamp overload_clamp_{this};
   int consecutive_rejects_ = 0;
   int overload_ok_streak_ = 0;
-  int overload_threshold_ = 3;
 };
 
 }  // namespace odyssey

@@ -6,6 +6,12 @@
 #include "src/util/check.h"
 
 namespace odpower {
+namespace {
+
+// Integration tick.
+constexpr odsim::SimDuration kTick = odsim::SimDuration::Millis(500);
+
+}  // namespace
 
 Battery::Battery(odsim::Simulator* sim, EnergyAccounting* accounting,
                  const BatteryConfig& config)
@@ -15,10 +21,9 @@ Battery::Battery(odsim::Simulator* sim, EnergyAccounting* accounting,
   OD_CHECK(config.nominal_joules > 0.0);
   OD_CHECK(config.rated_watts > 0.0);
   OD_CHECK(config.peukert_exponent >= 1.0);
-  OD_CHECK(config.tick > odsim::SimDuration::Zero());
   last_tick_ = sim_->Now();
   last_platform_joules_ = accounting_->TotalJoules(last_tick_);
-  next_ = sim_->Every(config_.tick, [this] { Tick(); });
+  next_ = sim_->Every(kTick, [this] { Tick(); });
 }
 
 double Battery::EffectiveDrainWatts(double draw_watts) const {

@@ -34,13 +34,11 @@ struct BatteryConfig {
   // Internal resistance loss as a fraction of draw per rated-draw unit:
   // loss = resistance_fraction * (draw/rated) * draw.
   double resistance_fraction = 0.02;
-  // Integration tick.
-  odsim::SimDuration tick = odsim::SimDuration::Millis(500);
 };
 
 class Battery {
  public:
-  // Starts ticking immediately.
+  // Starts ticking immediately, integrating every 500 ms.
   Battery(odsim::Simulator* sim, EnergyAccounting* accounting,
           const BatteryConfig& config);
 

@@ -7,19 +7,36 @@
 #include "src/util/check.h"
 
 namespace odpower {
+namespace {
+
+// Prior coefficient variance: P starts as kInitialVariance * I.
+constexpr double kInitialVariance = 100.0;
+// Physical bounds on fitted coefficients, in watts.  Increments over a
+// baseline state may be legitimately negative (a cheaper state than the
+// resting one), hence the small negative floor.
+constexpr double kMinCoefficientWatts = -5.0;
+constexpr double kMaxCoefficientWatts = 25.0;
+// Diagonal-spread guard: when max(diag P)/min(diag P) exceeds this, the
+// diagonal is re-regularized.
+constexpr double kMaxCondition = 1e7;
+// Gain denominators below this are degenerate; the update is skipped.
+constexpr double kMinDenominator = 1e-9;
+// Samples before the confidence signal can saturate.
+constexpr int kConvergenceSamples = 120;
+// Half-life, in samples, of the prediction-error EWMA.
+constexpr double kErrorHalfLifeSamples = 60.0;
+
+}  // namespace
 
 LearnedModel::LearnedModel(int dim, const LearnedModelConfig& config)
     : dim_(dim), config_(config) {
   OD_CHECK(dim > 0);
-  OD_CHECK(config.forgetting > 0.0 && config.forgetting <= 1.0);
-  OD_CHECK(config.initial_variance > 0.0);
-  OD_CHECK(config.max_coefficient_watts > config.min_coefficient_watts);
   theta_.assign(static_cast<size_t>(dim), 0.0);
   p_.assign(static_cast<size_t>(dim) * static_cast<size_t>(dim), 0.0);
   gain_.assign(static_cast<size_t>(dim), 0.0);
   pphi_.assign(static_cast<size_t>(dim), 0.0);
   for (int i = 0; i < dim; ++i) {
-    P(i, i) = config.initial_variance;
+    P(i, i) = kInitialVariance;
   }
 }
 
@@ -53,8 +70,7 @@ void LearnedModel::Observe(const std::vector<double>& phi,
   for (int i = 0; i < dim_; ++i) {
     predicted += theta_[static_cast<size_t>(i)] * phi[static_cast<size_t>(i)];
   }
-  double alpha =
-      1.0 - std::pow(0.5, 1.0 / std::max(1.0, config_.error_half_life_samples));
+  double alpha = 1.0 - std::pow(0.5, 1.0 / kErrorHalfLifeSamples);
   double abs_error = std::abs(measured_watts - predicted);
   if (!ewma_primed_) {
     error_ewma_ = abs_error;
@@ -68,7 +84,7 @@ void LearnedModel::Observe(const std::vector<double>& phi,
   // RLS:  k = P phi / (lambda + phi' P phi)
   //       theta += k (y - phi' theta)
   //       P = (P - k phi' P) / lambda
-  double denom = config_.forgetting;
+  double denom = kForgetting;
   for (int i = 0; i < dim_; ++i) {
     double acc = 0.0;
     for (int j = 0; j < dim_; ++j) {
@@ -77,7 +93,7 @@ void LearnedModel::Observe(const std::vector<double>& phi,
     pphi_[static_cast<size_t>(i)] = acc;
     denom += acc * phi[static_cast<size_t>(i)];
   }
-  if (denom < config_.min_denominator) {
+  if (denom < kMinDenominator) {
     ++skipped_updates_;
     return;
   }
@@ -89,7 +105,7 @@ void LearnedModel::Observe(const std::vector<double>& phi,
     theta_[static_cast<size_t>(i)] =
         std::clamp(theta_[static_cast<size_t>(i)] +
                        gain_[static_cast<size_t>(i)] * innovation,
-                   config_.min_coefficient_watts, config_.max_coefficient_watts);
+                   kMinCoefficientWatts, kMaxCoefficientWatts);
   }
   // P update via the symmetric form (P - k (P phi)') / lambda, then an
   // explicit symmetrization: drift of P away from symmetry is the classic
@@ -98,7 +114,7 @@ void LearnedModel::Observe(const std::vector<double>& phi,
     for (int j = 0; j < dim_; ++j) {
       P(i, j) = (Pc(i, j) - gain_[static_cast<size_t>(i)] *
                                 pphi_[static_cast<size_t>(j)]) /
-                config_.forgetting;
+                kForgetting;
     }
   }
   for (int i = 0; i < dim_; ++i) {
@@ -112,18 +128,18 @@ void LearnedModel::Observe(const std::vector<double>& phi,
   // Covariance guard.  Forgetting inflates the variance of features that
   // stop being excited (1/lambda per step, unbounded); cap the diagonal at
   // the prior, and if the spread between the best- and worst-determined
-  // directions still exceeds max_condition, lift the floor too.  Either
+  // directions still exceeds kMaxCondition, lift the floor too.  Either
   // intervention counts as a guarded update.
   bool guarded = false;
   double max_diag = 0.0;
   for (int i = 0; i < dim_; ++i) {
-    if (Pc(i, i) > config_.initial_variance) {
-      P(i, i) = config_.initial_variance;
+    if (Pc(i, i) > kInitialVariance) {
+      P(i, i) = kInitialVariance;
       guarded = true;
     }
     max_diag = std::max(max_diag, Pc(i, i));
   }
-  double floor = max_diag / config_.max_condition;
+  double floor = max_diag / kMaxCondition;
   for (int i = 0; i < dim_; ++i) {
     if (Pc(i, i) < floor) {
       P(i, i) = floor;
@@ -146,13 +162,13 @@ double LearnedModel::prediction_error_fraction() const {
 double LearnedModel::confidence() const {
   double ramp = std::min(
       1.0, static_cast<double>(samples_) /
-               static_cast<double>(std::max(1, config_.convergence_samples)));
+               static_cast<double>(kConvergenceSamples));
   double quality = std::clamp(1.0 - prediction_error_fraction(), 0.0, 1.0);
   return ramp * quality;
 }
 
 bool LearnedModel::converged() const {
-  return samples_ >= config_.convergence_samples &&
+  return samples_ >= kConvergenceSamples &&
          prediction_error_fraction() <= config_.converged_error_fraction;
 }
 

@@ -17,12 +17,12 @@
 // Numerical hygiene, since this runs unattended inside a controller:
 //
 //   * covariance guarding: the P matrix's diagonal spread is a cheap
-//     condition-number proxy; when it exceeds `max_condition` (weakly
+//     condition-number proxy; when it exceeds a bound (weakly
 //     excited features under forgetting blow their variance up) the
 //     diagonal is re-regularized toward the prior, and a counter records
 //     that the guard fired;
 //   * coefficient clamping: fitted watts are clamped to physical bounds
-//     [min_coefficient_watts, max_coefficient_watts] after every update —
+//     [-5 W, 25 W] after every update —
 //     no component of this machine draws 50 W, so a fit that says so is
 //     noise, not signal;
 //   * degenerate-update rejection: an observation whose gain denominator
@@ -41,36 +41,20 @@
 namespace odpower {
 
 struct LearnedModelConfig {
-  // Per-observation exponential forgetting factor.  0.999 at 10 Hz gives a
-  // memory on the order of 100 s: slow enough that a mid-run gauge drift
-  // diverges from the model long before the model chases it.
-  double forgetting = 0.999;
-  // Prior coefficient variance: P starts as initial_variance * I.
-  double initial_variance = 100.0;
-  // Physical bounds on fitted coefficients, in watts.  Increments over a
-  // baseline state may be legitimately negative (a cheaper state than the
-  // resting one), hence the small negative floor.
-  double min_coefficient_watts = -5.0;
-  double max_coefficient_watts = 25.0;
-  // Diagonal-spread guard: when max(diag P)/min(diag P) exceeds this, the
-  // diagonal is re-regularized.
-  double max_condition = 1e7;
-  // Gain denominators below this are degenerate; the update is skipped.
-  double min_denominator = 1e-9;
-  // Samples before the confidence signal can saturate.
-  int convergence_samples = 120;
-  // Half-life, in samples, of the prediction-error EWMA.
-  double error_half_life_samples = 60.0;
   // converged() requires the normalized prediction error at or below this.
   double converged_error_fraction = 0.08;
 };
 
 class LearnedModel {
  public:
+  // Per-observation exponential forgetting factor.  0.999 at 10 Hz gives a
+  // memory on the order of 100 s: slow enough that a mid-run gauge drift
+  // diverges from the model long before the model chases it.
+  static constexpr double kForgetting = 0.999;
+
   LearnedModel(int dim, const LearnedModelConfig& config = LearnedModelConfig{});
 
   int dim() const { return dim_; }
-  const LearnedModelConfig& config() const { return config_; }
 
   // One RLS update: fit `measured_watts` against feature vector `phi`
   // (length dim()).  Call with the *observed* gauge reading — corrupted or

@@ -30,7 +30,6 @@ class PowerManager {
   // Enables/disables hardware power management.  Takes effect immediately:
   // resting devices move to the new resting state.
   void SetHardwarePmEnabled(bool enabled);
-  bool hardware_pm_enabled() const { return hw_pm_enabled_; }
 
   // How long the disk must be inactive before spinning down (default 10 s).
   void set_disk_standby_timeout(odsim::SimDuration timeout);

@@ -19,9 +19,4 @@ double EnergySupply::ResidualJoules(odsim::SimTime now) {
   return std::max(0.0, initial_joules_ - consumed);
 }
 
-void EnergySupply::AddJoules(double joules) {
-  OD_CHECK(joules >= 0.0);
-  initial_joules_ += joules;
-}
-
 }  // namespace odpower

@@ -27,10 +27,6 @@ class EnergySupply {
 
   double initial_joules() const { return initial_joules_; }
 
-  // Adds energy mid-run (used when a user revises the goal with a larger
-  // supply, and by tests).
-  void AddJoules(double joules);
-
  private:
   EnergyAccounting* accounting_;
   double initial_joules_;

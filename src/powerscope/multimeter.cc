@@ -11,15 +11,13 @@ Multimeter::Multimeter(odsim::Simulator* sim, odpower::Machine* machine,
     : sim_(sim), machine_(machine), config_(config), rng_(noise_seed) {
   OD_CHECK(sim != nullptr);
   OD_CHECK(machine != nullptr);
-  OD_CHECK(config.supply_volts > 0.0);
-  OD_CHECK(config.sample_rate_hz > 0.0);
 }
 
 void Multimeter::Start() {
   OD_CHECK(!running_);
   running_ = true;
   TakeSample();
-  next_ = sim_->Every(odsim::SimDuration::Seconds(1.0 / config_.sample_rate_hz),
+  next_ = sim_->Every(odsim::SimDuration::Seconds(1.0 / kSampleRateHz),
                       [this] { TakeSample(); });
 }
 
@@ -29,7 +27,7 @@ void Multimeter::Stop() {
 }
 
 void Multimeter::TakeSample() {
-  double amps = machine_->TotalPower() / config_.supply_volts;
+  double amps = machine_->TotalPower() / kSupplyVolts;
   if (config_.noise_amps > 0.0) {
     amps = std::max(0.0, rng_.Normal(amps, config_.noise_amps));
   }

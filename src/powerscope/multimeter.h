@@ -19,16 +19,17 @@
 namespace odscope {
 
 struct MultimeterConfig {
-  // Input voltage; well-controlled (to within 0.25% on the paper's laptop),
-  // so current samples alone suffice to infer energy.
-  double supply_volts = 12.0;
-  double sample_rate_hz = 600.0;
   // Standard deviation of current measurement noise, in amps.
   double noise_amps = 0.002;
 };
 
 class Multimeter {
  public:
+  // Input voltage; well-controlled (to within 0.25% on the paper's laptop),
+  // so current samples alone suffice to infer energy.
+  static constexpr double kSupplyVolts = 12.0;
+  static constexpr double kSampleRateHz = 600.0;
+
   using TriggerFn = std::function<void(odsim::SimTime)>;
 
   Multimeter(odsim::Simulator* sim, odpower::Machine* machine,
@@ -47,8 +48,6 @@ class Multimeter {
 
   const std::vector<CurrentSample>& samples() const { return samples_; }
   void ClearSamples() { samples_.clear(); }
-
-  const MultimeterConfig& config() const { return config_; }
 
  private:
   void TakeSample();

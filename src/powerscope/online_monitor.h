@@ -49,8 +49,6 @@ class OnlineMonitor : public PowerMonitor {
 
   TelemetryFaults* telemetry_faults() override { return &faults_; }
 
-  const OnlineMonitorConfig& config() const { return config_; }
-
  private:
   void TakeSample();
 

@@ -33,10 +33,10 @@ void Profiler::ClearSamples() {
 
 double Profiler::SampledJoules() const {
   const std::vector<CurrentSample>& samples = multimeter_.samples();
-  double dt = 1.0 / multimeter_.config().sample_rate_hz;
+  double dt = 1.0 / Multimeter::kSampleRateHz;
   double joules = 0.0;
   for (const CurrentSample& s : samples) {
-    joules += s.amps * multimeter_.config().supply_volts * dt;
+    joules += s.amps * Multimeter::kSupplyVolts * dt;
   }
   return joules;
 }
@@ -53,13 +53,13 @@ EnergyProfile Profiler::Correlate() const {
   // (pid, proc) -> accumulator; proc == -1 keys the per-process summary.
   std::map<std::pair<odsim::ProcessId, odsim::ProcedureId>, Accum> accum;
 
-  double volts = multimeter_.config().supply_volts;
+  double volts = Multimeter::kSupplyVolts;
   for (size_t i = 0; i < currents.size(); ++i) {
     // Each sample covers the interval to the next sample (trailing samples
     // cover one nominal period).
     double dt = i + 1 < currents.size()
                     ? (currents[i + 1].time - currents[i].time).seconds()
-                    : 1.0 / multimeter_.config().sample_rate_hz;
+                    : 1.0 / Multimeter::kSampleRateHz;
     double joules = currents[i].amps * volts * dt;
     const MonitorSample& ctx = monitor_samples_[i];
     double cpu = ctx.pid == odsim::kIdlePid ? 0.0 : dt;

@@ -11,6 +11,13 @@ namespace odscope {
 
 namespace {
 
+// Gas gauges report on the order of once per second.
+constexpr odsim::SimDuration kPeriod = odsim::SimDuration::Seconds(1);
+// Power readings are quantized to this granularity.
+constexpr double kPowerQuantumWatts = 0.1;
+// Standing draw of the monitoring circuit (added to the machine).
+constexpr double kOverheadWatts = 0.010;
+
 // The monitoring circuit's standing draw, attached as a machine component so
 // that monitoring overhead is itself measured and adapted against.
 class MonitorCircuit : public odpower::Component {
@@ -26,13 +33,10 @@ SmartBattery::SmartBattery(odsim::Simulator* sim, odpower::Machine* machine,
     : sim_(sim), machine_(machine), config_(config), rng_(noise_seed) {
   OD_CHECK(sim != nullptr);
   OD_CHECK(machine != nullptr);
-  OD_CHECK(config.period > odsim::SimDuration::Zero());
-  OD_CHECK(config.power_quantum_watts > 0.0);
-  if (config_.overhead_watts > 0.0) {
-    machine_->AddComponent(
-        std::make_unique<MonitorCircuit>(config_.overhead_watts));
-  }
+  machine_->AddComponent(std::make_unique<MonitorCircuit>(kOverheadWatts));
 }
+
+odsim::SimDuration SmartBattery::period() const { return kPeriod; }
 
 void SmartBattery::Start() {
   OD_CHECK(!running_);
@@ -58,8 +62,7 @@ void SmartBattery::TakeReading() {
     watts = std::max(0.0, rng_.Normal(watts, config_.noise_watts));
   }
   // Gas-gauge quantization.
-  watts = std::round(watts / config_.power_quantum_watts) *
-          config_.power_quantum_watts;
+  watts = std::round(watts / kPowerQuantumWatts) * kPowerQuantumWatts;
   std::optional<double> delivered =
       faults_.Corrupt(watts, last_watts_, has_delivered_);
   if (delivered.has_value()) {
@@ -86,7 +89,7 @@ void SmartBattery::TakeReading() {
     scale = rng_.Uniform(1.0 - config_.jitter_fraction,
                          1.0 + config_.jitter_fraction);
   }
-  next_ = sim_->Schedule(config_.period * scale, [this] { TakeReading(); });
+  next_ = sim_->Schedule(kPeriod * scale, [this] { TakeReading(); });
 }
 
 }  // namespace odscope

@@ -18,19 +18,15 @@
 
 namespace odscope {
 
+// The gauge reports once a second, quantized to 0.1 W, and its monitoring
+// circuit draws a standing 10 mW on the machine.
 struct SmartBatteryConfig {
-  // Gas gauges report on the order of once per second.
-  odsim::SimDuration period = odsim::SimDuration::Seconds(1);
   // Sampling-phase jitter as a fraction of the period.  Essential: periodic
   // application activity (video chunks arrive every 0.5 s) aliases against
   // a strictly periodic 1 Hz reader, biasing the energy estimate.
   double jitter_fraction = 0.2;
-  // Power readings are quantized to this granularity.
-  double power_quantum_watts = 0.1;
   // Gaussian read noise before quantization.
   double noise_watts = 0.05;
-  // Standing draw of the monitoring circuit (added to the machine).
-  double overhead_watts = 0.010;
 };
 
 class SmartBattery : public PowerMonitor {
@@ -45,12 +41,10 @@ class SmartBattery : public PowerMonitor {
   void Stop() override;
   double last_watts() const override { return last_watts_; }
   double measured_joules() const override { return measured_joules_; }
-  odsim::SimDuration period() const override { return config_.period; }
+  odsim::SimDuration period() const override;
   void set_callback(SampleFn callback) override { callback_ = std::move(callback); }
 
   TelemetryFaults* telemetry_faults() override { return &faults_; }
-
-  const SmartBatteryConfig& config() const { return config_; }
 
  private:
   void TakeReading();

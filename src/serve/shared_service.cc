@@ -16,21 +16,14 @@ SharedService::SharedService(odsim::Simulator* sim, std::string name,
   OD_CHECK(config.max_queue >= 0);
 }
 
-int SharedService::OpenSession(std::string client_name) {
-  sessions_.push_back(std::move(client_name));
-  session_completed_.push_back(0);
-  return static_cast<int>(sessions_.size()) - 1;
-}
-
-int SharedService::SessionCompleted(int session) const {
-  OD_CHECK(session >= 0 && session < static_cast<int>(sessions_.size()));
-  return session_completed_[session];
+int SharedService::OpenSession(std::string /*client_name*/) {
+  return session_count_++;
 }
 
 void SharedService::Submit(int session, odsim::SimDuration work,
                            odsim::EventFn on_done) {
   OD_CHECK(work >= odsim::SimDuration::Zero());
-  OD_CHECK(session >= 0 && session < static_cast<int>(sessions_.size()));
+  OD_CHECK(session >= 0 && session < session_count_);
   // Unkeyed submits predate admission control and carry no reject channel;
   // a bounded service must be driven through SubmitKeyed.
   OD_CHECK_MSG(config_.max_queue == 0,
@@ -38,7 +31,6 @@ void SharedService::Submit(int session, odsim::SimDuration work,
   Request request;
   request.work = work * (1.0 / config_.speed_factor);
   request.submitted = sim_->Now();
-  request.session = session;
   request.on_done = std::move(on_done);
   queue_.push_back(std::move(request));
   if (!busy_) {
@@ -49,13 +41,12 @@ void SharedService::Submit(int session, odsim::SimDuration work,
 void SharedService::SubmitKeyed(int session, const std::string& key,
                                 odsim::SimDuration work, ServeFn on_done) {
   OD_CHECK(work >= odsim::SimDuration::Zero());
-  OD_CHECK(session >= 0 && session < static_cast<int>(sessions_.size()));
+  OD_CHECK(session >= 0 && session < session_count_);
   // Cache first: distilled content that already exists is served without
   // touching the compute queue (and regardless of a stalled distiller).
   if (config_.cache_capacity > 0 && CacheLookup(key)) {
     ++cache_hits_;
     ++completed_;
-    ++session_completed_[session];
     if (on_done) {
       on_done(ServeOutcome::kCacheHit);
     }
@@ -66,7 +57,7 @@ void SharedService::SubmitKeyed(int session, const std::string& key,
   if (config_.batch_same_key) {
     if (Request* target = FindBatchTarget(key)) {
       ++batch_joins_;
-      target->joined.push_back(Waiter{session, sim_->Now(), std::move(on_done)});
+      target->joined.push_back(Waiter{sim_->Now(), std::move(on_done)});
       return;
     }
   }
@@ -81,7 +72,6 @@ void SharedService::SubmitKeyed(int session, const std::string& key,
   Request request;
   request.work = work * (1.0 / config_.speed_factor);
   request.submitted = sim_->Now();
-  request.session = session;
   request.keyed = true;
   request.key = key;
   request.on_served = std::move(on_done);
@@ -140,7 +130,6 @@ void SharedService::StartNext() {
     Request done = std::move(in_service_);
     in_service_keyed_ = false;
     ++completed_;
-    ++session_completed_[done.session];
     if (done.keyed && config_.cache_capacity > 0) {
       CacheInsert(done.key);
     }
@@ -148,7 +137,6 @@ void SharedService::StartNext() {
     for (const Waiter& waiter : done.joined) {
       RecordWait(waiter.submitted, now);
       ++completed_;
-      ++session_completed_[waiter.session];
     }
     if (done.on_done) {
       done.on_done();

@@ -74,9 +74,9 @@ class SharedService {
   SharedService(const SharedService&) = delete;
   SharedService& operator=(const SharedService&) = delete;
 
-  // Registers a client session and returns its id.  Sessions only carry
-  // attribution (per-session completion counts); they do not partition the
-  // queue.
+  // Registers a client session and returns its id, which every submit
+  // must name.  Sessions do not partition the queue, and the service keeps
+  // no per-session state beyond their count.
   int OpenSession(std::string client_name);
 
   // -- Submission ------------------------------------------------------------
@@ -119,7 +119,6 @@ class SharedService {
   int cache_evictions() const { return cache_evictions_; }
   int batch_joins() const { return batch_joins_; }
   size_t cache_size() const { return cache_index_.size(); }
-  int SessionCompleted(int session) const;
 
   // Queue-wait statistics over served requests (time from submit to service
   // start; batched joiners measure from their own submit).  Cache hits and
@@ -130,14 +129,12 @@ class SharedService {
 
  private:
   struct Waiter {
-    int session = 0;
     odsim::SimTime submitted;
     ServeFn on_done;
   };
   struct Request {
     odsim::SimDuration work;          // Already scaled by speed_factor.
     odsim::SimTime submitted;
-    int session = 0;
     bool keyed = false;
     std::string key;
     odsim::EventFn on_done;           // Unkeyed completion.
@@ -154,8 +151,7 @@ class SharedService {
   odsim::Simulator* sim_;
   std::string name_;
   ServiceConfig config_;
-  std::vector<std::string> sessions_;
-  std::vector<int> session_completed_;
+  int session_count_ = 0;
 
   std::deque<Request> queue_;  // Arrival order; front is served next.
   // Batch targets: each queued keyed request by key, kept while

@@ -35,7 +35,6 @@ void CsvWriter::WriteRow(const std::vector<std::string>& cells) {
     std::fputs(Escape(cells[i]).c_str(), file_);
     std::fputc(i + 1 < cells.size() ? ',' : '\n', file_);
   }
-  ++rows_;
 }
 
 void CsvWriter::WriteNumericRow(const std::vector<double>& values, int precision) {

@@ -29,14 +29,12 @@ class CsvWriter {
   // Convenience for numeric rows.
   void WriteNumericRow(const std::vector<double>& values, int precision = 6);
 
-  int rows_written() const { return rows_; }
 
   // Escapes one field per RFC 4180 (exposed for testing).
   static std::string Escape(const std::string& field);
 
  private:
   std::FILE* file_ = nullptr;
-  int rows_ = 0;
 };
 
 }  // namespace odutil

@@ -23,7 +23,7 @@ TEST(BurstyReplayTest, ReplayReproducesRecordedStates) {
   // Record a stochastic run...
   MinuteSchedule recorded;
   {
-    TestBed bed(TestBed::Options{.seed = 606, .hw_pm = true, .link = {}});
+    TestBed bed(TestBed::Options{.seed = 606, .hw_pm = true});
     BurstyWorkload workload(&bed.sim(), &bed.video(), &bed.speech(), &bed.web(),
                             &bed.map(), &bed.rng());
     workload.Start();
@@ -35,7 +35,7 @@ TEST(BurstyReplayTest, ReplayReproducesRecordedStates) {
 
   // ...replay it under a different seed: the activity states must match
   // minute for minute (only the fine-grained jitter differs).
-  TestBed bed(TestBed::Options{.seed = 999, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 999, .hw_pm = true});
   BurstyWorkload::Config config;
   config.replay = recorded;
   BurstyWorkload workload(&bed.sim(), &bed.video(), &bed.speech(), &bed.web(),
@@ -53,7 +53,7 @@ TEST(BurstyReplayTest, HandWrittenSchedule) {
   schedule.minutes.push_back({true, false, false, false});
   schedule.minutes.push_back({false, false, false, false});
 
-  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true});
   BurstyWorkload::Config config;
   config.replay = schedule;
   BurstyWorkload workload(&bed.sim(), &bed.video(), &bed.speech(), &bed.web(),

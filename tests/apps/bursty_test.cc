@@ -25,7 +25,7 @@ TEST(BurstyTest, RunsWorkloadOverTime) {
 TEST(BurstyTest, DeterministicPerSeed) {
   double joules[2];
   for (int i = 0; i < 2; ++i) {
-    TestBed bed(TestBed::Options{.seed = 77, .hw_pm = true, .link = {}});
+    TestBed bed(TestBed::Options{.seed = 77, .hw_pm = true});
     BurstyWorkload workload(&bed.sim(), &bed.video(), &bed.speech(), &bed.web(),
                             &bed.map(), &bed.rng());
     workload.Start();
@@ -40,7 +40,7 @@ TEST(BurstyTest, DifferentSeedsDiffer) {
   double joules[2];
   uint64_t seeds[2] = {101, 202};
   for (int i = 0; i < 2; ++i) {
-    TestBed bed(TestBed::Options{.seed = seeds[i], .hw_pm = true, .link = {}});
+    TestBed bed(TestBed::Options{.seed = seeds[i], .hw_pm = true});
     BurstyWorkload workload(&bed.sim(), &bed.video(), &bed.speech(), &bed.web(),
                             &bed.map(), &bed.rng());
     workload.Start();

@@ -70,7 +70,7 @@ TEST(CompositeTest, StopPreventsFurtherIterations) {
 }
 
 TEST(CompositeTest, HoldsDisplayWhenArbiterGiven) {
-  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true});
   CompositeApp composite(&bed.sim(), &bed.speech(), &bed.web(), &bed.map(),
                          &bed.arbiter());
   bool done = false;
@@ -85,7 +85,7 @@ TEST(CompositeTest, HoldsDisplayWhenArbiterGiven) {
 }
 
 TEST(CompositeTest, WithoutArbiterSpeechLeavesDisplayOff) {
-  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true});
   CompositeApp composite(&bed.sim(), &bed.speech(), &bed.web(), &bed.map());
   composite.RunIterations(1, nullptr);
   bed.sim().RunUntil(odsim::SimTime::Seconds(2));

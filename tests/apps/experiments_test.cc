@@ -6,7 +6,7 @@ namespace odapps {
 namespace {
 
 TEST(ExperimentsTest, SettleReachesRestingStates) {
-  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true});
   Settle(bed);
   EXPECT_EQ(bed.laptop().disk().disk_state(), odpower::DiskState::kStandby);
   EXPECT_EQ(bed.laptop().wavelan().wavelan_state(), odpower::WaveLanState::kStandby);

@@ -3,14 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <vector>
 
-#include "src/apps/experiments.h"
-#include "src/apps/testbed.h"
 #include "src/fault/fault_plan.h"
 #include "src/scenario/library.h"
-#include "src/serve/shared_service.h"
 
 namespace odapps {
 namespace {
@@ -36,8 +32,6 @@ TEST(FleetScenarioTest, ChaosSoakConservesPerDeviceEnergy) {
   options.service.speed_factor = 0.05;
   options.service.max_queue = 3;
   options.service.cache_capacity = 4;
-  options.shared_objects = 16;
-  options.fetch_period = odsim::SimDuration::Seconds(2);
   options.fault_plan = Plan("stall@30+20");
 
   int probes = 0;
@@ -92,47 +86,6 @@ TEST(FleetScenarioTest, SameSeedReproducesExactly) {
   for (size_t i = 0; i < a.devices.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.devices[i].consumed_joules, b.devices[i].consumed_joules);
     EXPECT_EQ(a.devices[i].fetches, b.devices[i].fetches);
-  }
-}
-
-// A fleet of one wired through the service-provider seam — every warden a
-// session on an explicit default-configured SharedService — must measure
-// exactly what the classic testbed with private per-warden servers
-// measures.  This is the facade equivalence the goldens rely on, asserted
-// at the seam itself.
-TEST(FleetScenarioTest, FleetOfOneThroughProviderMatchesPrivateServers) {
-  auto run = [](bool through_provider) {
-    auto sim = std::make_unique<odsim::Simulator>();
-    std::vector<std::unique_ptr<odserve::SharedService>> services;
-    TestBed::Options options;
-    options.seed = 42;
-    options.hw_pm = true;
-    if (through_provider) {
-      options.sim = sim.get();
-      options.services = [&sim, &services](const std::string& data_type) {
-        services.push_back(std::make_unique<odserve::SharedService>(
-            sim.get(), data_type + "-shared"));
-        return services.back().get();
-      };
-    }
-    TestBed bed(options);
-    bed.map().SetFidelity(static_cast<int>(MapFidelity::kFull));
-    bed.map().set_think_seconds(1.0);
-    Settle(bed);
-    TestBed::Measurement m = bed.Measure([&](odsim::EventFn done) {
-      bed.map().ViewMap(StandardMaps()[0], std::move(done));
-    });
-    return m;
-  };
-
-  TestBed::Measurement direct = run(false);
-  TestBed::Measurement shared = run(true);
-  EXPECT_DOUBLE_EQ(direct.joules, shared.joules);
-  EXPECT_DOUBLE_EQ(direct.seconds, shared.seconds);
-  for (const auto& [name, joules] : direct.by_component) {
-    auto it = shared.by_component.find(name);
-    ASSERT_NE(it, shared.by_component.end()) << name;
-    EXPECT_DOUBLE_EQ(joules, it->second) << name;
   }
 }
 
@@ -197,7 +150,6 @@ TEST(FleetScenarioTest, ScenarioDiversityGatesFetchLoopsPerDevice) {
   options.clients = static_cast<int>(library_size);
   options.seed = 3;
   options.goal = odsim::SimDuration::Seconds(600);
-  options.fetch_period = odsim::SimDuration::Seconds(5);
   options.scenario_diversity = true;
 
   FleetResult result = RunFleetScenario(options);

@@ -49,7 +49,7 @@ TEST(MapViewerTest, ThinkTimeExtendsEnergyLinearly) {
   double joules[3];
   double thinks[3] = {0.0, 10.0, 20.0};
   for (int i = 0; i < 3; ++i) {
-    TestBed bed(TestBed::Options{.seed = 7, .hw_pm = true, .link = {}});
+    TestBed bed(TestBed::Options{.seed = 7, .hw_pm = true});
     bed.map().set_think_seconds(thinks[i]);
     bed.sim().RunUntil(odsim::SimTime::Seconds(15));
     auto m = bed.Measure([&](odsim::EventFn done) {
@@ -66,7 +66,7 @@ TEST(MapViewerTest, ThinkTimeExtendsEnergyLinearly) {
 }
 
 TEST(MapViewerTest, DisplayHeldThroughThinkTime) {
-  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true});
   bed.map().set_think_seconds(5.0);
   bool done = false;
   bed.map().ViewMap(StandardMaps()[1], [&] { done = true; });
@@ -86,7 +86,7 @@ TEST(MapViewerTest, EnergyTracksTransferSize) {
   const MapObject& map = StandardMaps()[0];
   std::vector<std::pair<size_t, double>> by_bytes;
   for (int level = 0; level < 5; ++level) {
-    TestBed bed(TestBed::Options{.seed = 7, .hw_pm = true, .link = {}});
+    TestBed bed(TestBed::Options{.seed = 7, .hw_pm = true});
     bed.map().SetFidelity(level);
     bed.sim().RunUntil(odsim::SimTime::Seconds(15));
     auto m = bed.Measure([&](odsim::EventFn done) {

@@ -8,7 +8,7 @@ namespace odapps {
 namespace {
 
 double RecognizeJoules(SpeechMode mode, bool reduced, bool hw_pm) {
-  TestBed bed(TestBed::Options{.seed = 3, .hw_pm = hw_pm, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 3, .hw_pm = hw_pm});
   bed.speech().set_mode(mode);
   bed.speech().SetFidelity(reduced ? 0 : 1);
   bed.sim().RunUntil(odsim::SimTime::Seconds(15));  // Settle devices.
@@ -37,7 +37,7 @@ TEST(SpeechTest, BusyDuringRecognition) {
 }
 
 TEST(SpeechTest, LocalRecognitionUsesNoNetwork) {
-  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true});
   bed.sim().RunUntil(odsim::SimTime::Seconds(15));
   auto m = bed.Measure([&](odsim::EventFn done) {
     bed.speech().Recognize(StandardUtterances()[1], std::move(done));
@@ -48,7 +48,7 @@ TEST(SpeechTest, LocalRecognitionUsesNoNetwork) {
 }
 
 TEST(SpeechTest, RemoteRecognitionTransfersWaveform) {
-  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true});
   bed.speech().set_mode(SpeechMode::kRemote);
   bed.sim().RunUntil(odsim::SimTime::Seconds(15));
   auto m = bed.Measure([&](odsim::EventFn done) {
@@ -79,7 +79,7 @@ TEST(SpeechTest, HybridCheapestFullFidelityStrategy) {
 TEST(SpeechTest, RemoteIdleDominatesClientEnergy) {
   // "Most of the energy consumed by the client in remote recognition occurs
   // with the processor idle."
-  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true});
   bed.speech().set_mode(SpeechMode::kRemote);
   bed.sim().RunUntil(odsim::SimTime::Seconds(15));
   auto m = bed.Measure([&](odsim::EventFn done) {
@@ -90,7 +90,7 @@ TEST(SpeechTest, RemoteIdleDominatesClientEnergy) {
 
 TEST(SpeechTest, LocalJanusDominatesClientEnergy) {
   // "Almost all the energy in this case is consumed by Janus."
-  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true});
   bed.sim().RunUntil(odsim::SimTime::Seconds(15));
   auto m = bed.Measure([&](odsim::EventFn done) {
     bed.speech().Recognize(StandardUtterances()[3], std::move(done));

@@ -35,8 +35,6 @@ TEST(VideoPlayerTest, OverridePinsConfig) {
   video.SetConfigOverride(VideoPlayer::Config{VideoTrack::kPremiereC, 0.5});
   video.SetFidelity(4);  // Ladder changes must not leak through.
   EXPECT_EQ(video.EffectiveConfig().track, VideoTrack::kPremiereC);
-  video.ClearConfigOverride();
-  EXPECT_EQ(video.EffectiveConfig().track, VideoTrack::kBaseline);
 }
 
 TEST(VideoPlayerTest, PlaybackTakesClipDuration) {
@@ -60,7 +58,7 @@ TEST(VideoPlayerTest, PlaySegmentStopsEarly) {
 }
 
 TEST(VideoPlayerTest, PlaybackHoldsDisplay) {
-  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true});
   EXPECT_EQ(bed.laptop().display().display_state(), odpower::DisplayState::kOff);
   bed.video().PlaySegment(StandardVideoClips()[0], odsim::SimDuration::Seconds(5),
                           nullptr);
@@ -70,7 +68,7 @@ TEST(VideoPlayerTest, PlaybackHoldsDisplay) {
 }
 
 TEST(VideoPlayerTest, AmbientFidelityDimsDisplay) {
-  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true});
   bed.video().SetFidelity(0);
   bed.video().PlaySegment(StandardVideoClips()[0], odsim::SimDuration::Seconds(5),
                           nullptr);
@@ -80,7 +78,7 @@ TEST(VideoPlayerTest, AmbientFidelityDimsDisplay) {
 }
 
 TEST(VideoPlayerTest, MidPlaybackFidelityChangeRetunesDisplay) {
-  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true});
   bed.video().PlaySegment(StandardVideoClips()[0], odsim::SimDuration::Seconds(20),
                           nullptr);
   bed.sim().RunUntil(odsim::SimTime::Seconds(5));

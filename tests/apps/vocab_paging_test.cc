@@ -10,7 +10,7 @@ namespace odapps {
 namespace {
 
 double Recognize(bool paging, bool reduced, bool hw_pm, double* out_disk_joules) {
-  TestBed bed(TestBed::Options{.seed = 13, .hw_pm = hw_pm, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 13, .hw_pm = hw_pm});
   bed.speech().set_vocab_paging(paging);
   bed.speech().SetFidelity(reduced ? 0 : 1);
   bed.sim().RunUntil(odsim::SimTime::Seconds(15));
@@ -33,7 +33,7 @@ TEST(VocabPagingTest, PagingCostsDiskEnergy) {
 TEST(VocabPagingTest, PagingSpinsUpFromStandby) {
   // Under PM the disk starts in standby; paging must spin it up, paying the
   // spin-up transition on top of the access itself.
-  TestBed bed(TestBed::Options{.seed = 13, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 13, .hw_pm = true});
   bed.speech().set_vocab_paging(true);
   bed.sim().RunUntil(odsim::SimTime::Seconds(20));
   ASSERT_EQ(bed.laptop().disk().disk_state(), odpower::DiskState::kStandby);

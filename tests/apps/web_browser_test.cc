@@ -39,7 +39,7 @@ TEST(WebBrowserTest, LowerFidelityUsesLessEnergyOnLargeImage) {
   const WebImage& image = StandardWebImages()[0];  // 175 KB.
   double previous = 0.0;
   for (int level = 0; level < 5; ++level) {
-    TestBed bed(TestBed::Options{.seed = 9, .hw_pm = true, .link = {}});
+    TestBed bed(TestBed::Options{.seed = 9, .hw_pm = true});
     bed.web().SetFidelity(level);
     bed.sim().RunUntil(odsim::SimTime::Seconds(15));
     auto m = bed.Measure([&](odsim::EventFn done) {
@@ -53,12 +53,12 @@ TEST(WebBrowserTest, LowerFidelityUsesLessEnergyOnLargeImage) {
 TEST(WebBrowserTest, TinyImageSavingsAreNegligible) {
   // Image 4 is 110 bytes; distillation cannot save anything meaningful.
   const WebImage& image = StandardWebImages()[3];
-  TestBed bed_full(TestBed::Options{.seed = 9, .hw_pm = true, .link = {}});
+  TestBed bed_full(TestBed::Options{.seed = 9, .hw_pm = true});
   bed_full.sim().RunUntil(odsim::SimTime::Seconds(15));
   auto full = bed_full.Measure([&](odsim::EventFn done) {
     bed_full.web().BrowsePage(image, std::move(done));
   });
-  TestBed bed_low(TestBed::Options{.seed = 9, .hw_pm = true, .link = {}});
+  TestBed bed_low(TestBed::Options{.seed = 9, .hw_pm = true});
   bed_low.web().SetFidelity(0);
   bed_low.sim().RunUntil(odsim::SimTime::Seconds(15));
   auto low = bed_low.Measure([&](odsim::EventFn done) {
@@ -90,7 +90,7 @@ TEST(WebBrowserTest, ThinkTimeSlopeIsBackgroundPower) {
   double joules[2];
   double thinks[2] = {5.0, 20.0};
   for (int i = 0; i < 2; ++i) {
-    TestBed bed(TestBed::Options{.seed = 11, .hw_pm = true, .link = {}});
+    TestBed bed(TestBed::Options{.seed = 11, .hw_pm = true});
     bed.web().set_think_seconds(thinks[i]);
     bed.sim().RunUntil(odsim::SimTime::Seconds(15));
     auto m = bed.Measure([&](odsim::EventFn done) {

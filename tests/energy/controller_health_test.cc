@@ -171,7 +171,7 @@ TEST(ControllerHealthTest, DropoutGapTripsTheWatchdogAndIsBridged) {
   // The monitor integrated nothing during the outage; the debit bridges
   // the missing ~9.8 W so the residual estimate tracks the truth.
   EXPECT_GT(director.telemetry().debit_joules(), 0.0);
-  double truth = director.TrueResidualJoules(odsim::SimTime::Seconds(20));
+  double truth = supply.ResidualJoules(odsim::SimTime::Seconds(20));
   EXPECT_NEAR(director.EstimatedResidualJoules(), truth, 0.02 * 1.0e4);
   director.Stop();
 }
@@ -199,7 +199,7 @@ TEST(ControllerHealthTest, GaugeDriftIsRejectedAndReCounted) {
   // re-counts that span at the smoothed rate.  Without the correction the
   // estimate would be off by ~2 * 9.8 W * 30 s = ~590 J; with it the error
   // must stay a small fraction of that.
-  double truth = director.TrueResidualJoules(odsim::SimTime::Seconds(50));
+  double truth = supply.ResidualJoules(odsim::SimTime::Seconds(50));
   EXPECT_NE(director.telemetry().debit_joules(), 0.0);
   EXPECT_NEAR(director.EstimatedResidualJoules(), truth, 150.0);
   director.Stop();

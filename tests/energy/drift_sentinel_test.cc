@@ -100,7 +100,7 @@ TEST(DriftSentinelTest, SubPlausibleDriftPassesValidationSilently) {
   EXPECT_EQ(director.telemetry().invalid_samples(), 0);
   EXPECT_EQ(director.telemetry().safe_mode_entries(), 0);
   rig.sim.RunUntil(odsim::SimTime::Seconds(600));
-  double truth = director.TrueResidualJoules(odsim::SimTime::Seconds(600));
+  double truth = supply.ResidualJoules(odsim::SimTime::Seconds(600));
   double bias = truth - director.EstimatedResidualJoules();
   // The silent bias is the fault's full integrated excess.
   EXPECT_GT(bias, 450.0);
@@ -143,7 +143,7 @@ TEST(DriftSentinelTest, SentinelCatchesSubPlausibleDrift) {
             200.0);
 
   rig.sim.RunUntil(odsim::SimTime::Seconds(600));
-  double truth = director.TrueResidualJoules(odsim::SimTime::Seconds(600));
+  double truth = supply.ResidualJoules(odsim::SimTime::Seconds(600));
   double error = std::abs(director.EstimatedResidualJoules() - truth);
   // <= 10% of the ~590 J bias the unsentineled director absorbs.
   EXPECT_LE(error, 60.0);
@@ -190,7 +190,7 @@ TEST(DriftSentinelTest, SlowRampDriftDetectedWithinBoundedLatency) {
 
   // Residual error stays bounded even though the pre-detection creep
   // (scale < 1.1) is below anything the sentinel can see.
-  double truth = director.TrueResidualJoules(odsim::SimTime::Seconds(600));
+  double truth = supply.ResidualJoules(odsim::SimTime::Seconds(600));
   double residual_error =
       std::abs(director.EstimatedResidualJoules() - truth);
   EXPECT_LE(residual_error, 90.0);  // vs ~700 J of uncorrected ramp bias.

@@ -176,7 +176,7 @@ TEST(GoalDirectorTest, EstimatedResidualTracksTruth) {
   director.Start(false);
   rig.sim.RunUntil(odsim::SimTime::Seconds(30));
   double estimated = director.EstimatedResidualJoules();
-  double truth = director.TrueResidualJoules(rig.sim.Now());
+  double truth = supply.ResidualJoules(rig.sim.Now());
   EXPECT_NEAR(estimated, truth, 0.01 * truth);
   director.Stop();
 }

@@ -147,10 +147,8 @@ odapps::GoalScenarioOptions ScenarioSoakOptions(uint64_t seed,
                                                 const odscenario::Scenario&
                                                     scenario,
                                                 odfault::FaultPlan* plan_out) {
-  odfault::ScenarioChaosConfig config;
-  config.horizon_seconds = scenario.Duration().seconds();
   odfault::FaultPlan plan = odfault::GenerateScenarioChaosPlan(
-      seed, scenario.DerivedFaultPlan(), config);
+      seed, scenario.DerivedFaultPlan(), scenario.Duration().seconds());
   odapps::GoalScenarioOptions options;
   options.seed = seed;
   options.goal = scenario.Duration();

@@ -65,7 +65,7 @@ TEST(JsonTest, ParseNestedDocument) {
   ASSERT_NE(a, nullptr);
   ASSERT_EQ(a->array().size(), 3u);
   EXPECT_TRUE(a->array()[2].Find("b")->AsBool());
-  EXPECT_TRUE(parsed->Find("c")->is_null());
+  EXPECT_EQ(parsed->Find("c")->type(), JsonValue::Type::kNull);
   EXPECT_EQ(parsed->Find("d")->AsString(), "s");
 }
 

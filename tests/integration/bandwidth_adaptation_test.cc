@@ -13,7 +13,7 @@ namespace odapps {
 namespace {
 
 struct Rig {
-  Rig() : monitor(&bed.sim(), &bed.link(), odnet::BandwidthMonitorConfig{}) {
+  Rig() : monitor(&bed.sim(), &bed.link()) {
     monitor.set_callback([this](odsim::SimTime, double bps) {
       bed.viceroy().NotifyResourceLevel(odyssey::ResourceId::kNetworkBandwidth,
                                         bps);

@@ -115,7 +115,7 @@ TEST(EdgeCaseTest, FidelityChangeDuringFetchAppliesNextFetch) {
 }
 
 TEST(EdgeCaseTest, VideoOverrideWithRateAndDim) {
-  odapps::TestBed bed(odapps::TestBed::Options{.seed = 1, .hw_pm = true, .link = {}});
+  odapps::TestBed bed(odapps::TestBed::Options{.seed = 1, .hw_pm = true});
   odapps::VideoPlayer::Config config;
   config.track = odapps::VideoTrack::kPremiereC;
   config.window_scale = 0.25;

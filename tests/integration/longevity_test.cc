@@ -11,7 +11,7 @@ namespace odapps {
 namespace {
 
 TEST(LongevityTest, TwentyFourHourBurstyDay) {
-  TestBed bed(TestBed::Options{.seed = 4242, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 4242, .hw_pm = true});
   BurstyWorkload workload(&bed.sim(), &bed.video(), &bed.speech(), &bed.web(),
                           &bed.map(), &bed.rng());
   workload.Start();
@@ -41,7 +41,7 @@ TEST(LongevityTest, TwentyFourHourBurstyDay) {
 
 TEST(LongevityTest, RepeatedMeasurementsDoNotDrift) {
   // Ten consecutive Measure() calls on one bed: each resets cleanly.
-  TestBed bed(TestBed::Options{.seed = 4243, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 4243, .hw_pm = true});
   // Let the disk reach standby first so every iteration sees the same
   // resting state.
   bed.sim().RunUntil(odsim::SimTime::Seconds(15));

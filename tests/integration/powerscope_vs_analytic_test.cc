@@ -27,7 +27,7 @@ class PowerScopeAgreementTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(PowerScopeAgreementTest, SampledEnergyMatchesAnalytic) {
   const Case& c = GetParam();
-  TestBed bed(TestBed::Options{.seed = 21, .hw_pm = c.hw_pm, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 21, .hw_pm = c.hw_pm});
   odscope::MultimeterConfig config;
   config.noise_amps = 0.0;  // Isolate sampling error from measurement noise.
   odscope::Profiler profiler(&bed.sim(), &bed.laptop().machine(), config);

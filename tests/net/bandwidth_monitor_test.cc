@@ -12,7 +12,7 @@ struct Rig {
   odsim::Simulator sim;
   std::unique_ptr<odpower::Laptop> laptop = odpower::MakeThinkPad560X(&sim);
   Link link{&sim, &laptop->power_manager(), LinkConfig{}};
-  BandwidthMonitor monitor{&sim, &link, BandwidthMonitorConfig{}};
+  BandwidthMonitor monitor{&sim, &link};
 
   // Issues back-to-back transfers for `seconds`.
   void Saturate(double seconds) {

@@ -161,10 +161,7 @@ TEST(RpcLossTest, RetryBackoffIsCappedExponentialWithJitter) {
   Rig rig;
   RpcConfig config;
   config.loss_probability = 0.9999;  // Effectively dead channel.
-  config.retry_timeout = odsim::SimDuration::Millis(100);
-  config.backoff_factor = 2.0;
-  config.max_retry_timeout = odsim::SimDuration::Millis(400);
-  config.retry_jitter = 0.1;
+  config.retry_timeout = odsim::SimDuration::Seconds(4);
   config.max_retries = 4;
   rig.rpc.set_config(config);
 
@@ -174,12 +171,12 @@ TEST(RpcLossTest, RetryBackoffIsCappedExponentialWithJitter) {
   rig.sim.Run();
   EXPECT_EQ(status, RpcStatus::kRetriesExhausted);
   EXPECT_EQ(rig.rpc.retransmissions(), 4);
-  // Waits are 100, 200, 400, 400 ms (capped), each jittered by at most
+  // Waits are 4, 8, 16, 16 s (capped at 16 s), each jittered by at most
   // ±10%; the whole exchange must fall inside those bounds plus a little
   // transmission time.
   const double elapsed = rig.sim.Now().seconds();
-  EXPECT_GE(elapsed, 1.1 * 0.9);
-  EXPECT_LE(elapsed, 1.1 * 1.1 + 0.2);
+  EXPECT_GE(elapsed, 44.0 * 0.9);
+  EXPECT_LE(elapsed, 44.0 * 1.1 + 0.2);
 }
 
 TEST(RpcLossTest, DeadlineBoundsACallAcrossAnOutage) {

@@ -77,15 +77,6 @@ TEST(ViceroyTest, NoopUpcallNotCounted) {
   EXPECT_EQ(app.set_calls, 0);
 }
 
-TEST(ViceroyTest, ResetAdaptationCounts) {
-  Rig rig;
-  FakeApp app("a", 0, 3);
-  rig.viceroy.RegisterApplication(&app);
-  rig.viceroy.IssueUpcall(&app, 0);
-  rig.viceroy.ResetAdaptationCounts();
-  EXPECT_EQ(rig.viceroy.TotalAdaptations(), 0);
-}
-
 TEST(ViceroyTest, WardenRegistryFindsByType) {
   Rig rig;
   rig.viceroy.RegisterWarden(std::make_unique<Warden>("video"));
@@ -196,7 +187,6 @@ TEST(ViceroyClampTest, ResourceNotificationsSuppressedWhileClamped) {
 
 TEST(ViceroyClampTest, RecoveryNeedsConsecutiveHealthyReports) {
   Rig rig;
-  rig.viceroy.set_recovery_hysteresis(3);
   FakeApp app("a", 0, 5);
   rig.viceroy.RegisterApplication(&app);
   app.SetFidelity(2);  // Mid-ladder, so the restore is observable.
@@ -230,7 +220,6 @@ TEST(ViceroyClampTest, HealthyReportsWithoutClampAreIgnored) {
 
 TEST(ViceroyClampTest, UnregisterDuringClampSkipsItsRestore) {
   Rig rig;
-  rig.viceroy.set_recovery_hysteresis(1);
   FakeApp a("a", 0, 5);
   FakeApp b("b", 1, 5);
   rig.viceroy.RegisterApplication(&a);
@@ -241,6 +230,9 @@ TEST(ViceroyClampTest, UnregisterDuringClampSkipsItsRestore) {
   rig.viceroy.NotifyLinkHealth(Unhealthy());
   rig.viceroy.UnregisterApplication(&b);
   const int b_calls = b.set_calls;
+  // Three consecutive healthy reports lift the clamp.
+  rig.viceroy.NotifyLinkHealth(Healthy());
+  rig.viceroy.NotifyLinkHealth(Healthy());
   rig.viceroy.NotifyLinkHealth(Healthy());
   EXPECT_FALSE(rig.viceroy.link_clamped());
   EXPECT_EQ(a.current_fidelity(), 3);

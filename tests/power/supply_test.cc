@@ -42,14 +42,5 @@ TEST(SupplyTest, AnchorsAtCreationTime) {
   EXPECT_NEAR(supply.ResidualJoules(rig.sim.Now()), 50.0, 1e-9);
 }
 
-TEST(SupplyTest, AddJoulesExtendsLifetime) {
-  Rig rig;
-  EnergySupply supply(&rig.accounting, 100.0);
-  supply.AddJoules(50.0);
-  EXPECT_DOUBLE_EQ(supply.initial_joules(), 150.0);
-  rig.sim.RunUntil(odsim::SimTime::Seconds(12));
-  EXPECT_NEAR(supply.ResidualJoules(rig.sim.Now()), 30.0, 1e-9);
-}
-
 }  // namespace
 }  // namespace odpower

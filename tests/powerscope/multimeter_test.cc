@@ -19,21 +19,20 @@ struct Rig {
 TEST(MultimeterTest, SamplesAtConfiguredRate) {
   Rig rig;
   MultimeterConfig config;
-  config.sample_rate_hz = 100.0;
   config.noise_amps = 0.0;
   Multimeter meter(&rig.sim, &rig.machine, config, 1);
   meter.Start();
   rig.sim.RunUntil(odsim::SimTime::Seconds(1));
   meter.Stop();
-  // One sample at t=0, then one every 10 ms: 101 samples in [0, 1].
-  EXPECT_EQ(meter.samples().size(), 101u);
+  // One sample at t=0, then one every 1667 us (600 Hz rounded to the
+  // simulator's microsecond clock): 600 samples in [0, 1].
+  EXPECT_EQ(meter.samples().size(), 600u);
 }
 
 TEST(MultimeterTest, NoiselessSamplesMatchPowerOverVoltage) {
   Rig rig;
   MultimeterConfig config;
   config.noise_amps = 0.0;
-  config.supply_volts = 12.0;
   Multimeter meter(&rig.sim, &rig.machine, config, 1);
   meter.Start();
   rig.sim.RunUntil(odsim::SimTime::Seconds(0.1));

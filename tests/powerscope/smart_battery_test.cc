@@ -33,24 +33,14 @@ TEST(SmartBatteryTest, OverheadDrawsRealPower) {
   EXPECT_NE(rig.machine.FindComponent("SmartBattery"), nullptr);
 }
 
-TEST(SmartBatteryTest, ZeroOverheadAddsNoComponent) {
-  Rig rig;
-  SmartBatteryConfig config = rig.Clean();
-  config.overhead_watts = 0.0;
-  SmartBattery monitor(&rig.sim, &rig.machine, config, 1);
-  EXPECT_EQ(rig.machine.FindComponent("SmartBattery"), nullptr);
-}
-
 TEST(SmartBatteryTest, ReadingsAreQuantized) {
   Rig rig;
-  SmartBatteryConfig config = rig.Clean();
-  config.power_quantum_watts = 0.5;
-  SmartBattery monitor(&rig.sim, &rig.machine, config, 1);
+  SmartBattery monitor(&rig.sim, &rig.machine, rig.Clean(), 1);
   monitor.Start();
   rig.sim.RunUntil(odsim::SimTime::Seconds(3));
   double reading = monitor.last_watts();
-  EXPECT_NEAR(std::remainder(reading, 0.5), 0.0, 1e-9);
-  // 10.01 W true draw rounds to 10.0 with a 0.5 W quantum.
+  EXPECT_NEAR(std::remainder(reading, 0.1), 0.0, 1e-9);
+  // 10.01 W true draw rounds to 10.0 with the gauge's 0.1 W quantum.
   EXPECT_DOUBLE_EQ(reading, 10.0);
 }
 

@@ -50,7 +50,7 @@ TEST(SmartBatteryExtensionTest, CoarserMonitoringStillTracksSupply) {
 TEST(DynamicPriorityTest, MidRunPriorityChangeRedirectsAdaptation) {
   // The user promotes the video mid-session: subsequent degradations must
   // fall on other applications and the video recovers on upgrades.
-  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true, .link = {}});
+  TestBed bed(TestBed::Options{.seed = 1, .hw_pm = true});
   // Initially video outranks only speech (defaults).  Promote it above web.
   EXPECT_LT(bed.video().priority(), bed.web().priority());
   bed.video().set_priority(10);
@@ -100,7 +100,7 @@ TEST(NonIdealBatteryTest, WorkloadLifetimeShorterThanIdealSupply) {
   // Play the composite workload against a Peukert battery and an ideal
   // supply of the same nominal energy; the battery dies first.
   auto lifetime = [](bool non_ideal) {
-    TestBed bed(TestBed::Options{.seed = 5, .hw_pm = true, .link = {}});
+    TestBed bed(TestBed::Options{.seed = 5, .hw_pm = true});
     Settle(bed);
     odsim::SimTime start = bed.sim().Now();
     bed.laptop().accounting().Reset(start);

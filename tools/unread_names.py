@@ -1,22 +1,35 @@
 #!/usr/bin/env python3
-"""Lists functions declared in src/**/*.h that no non-test code reads.
+"""Lists declarations in src/**/*.h that no non-test code reads or sets.
 
-usage: python3 tools/unread_names.py [--check ALLOWLIST]
+usage: python3 tools/unread_names.py [--fields] [--check ALLOWLIST]
 
-Run from the repository root.  A function counts as read when its name
-appears, as a whole word, in a C++ file under src/, bench/, tools/,
-odperf/ or examples/ anywhere other than its own declarations and
-definitions.  Comments and string literals are ignored.  Names are matched
-bare, so a name that several classes share counts as read when any of them
-is read: the list can miss an unread function, but every name it prints is
-unread.
+Run from the repository root.  Non-test code is every C++ file under src/,
+bench/, tools/, odperf/ or examples/; comments and string literals are
+ignored.
+
+By default the script lists functions.  A function counts as read when its
+name appears, as a whole word, in non-test code anywhere other than its own
+declarations and definitions.  Names are matched bare, so a name that
+several classes share counts as read when any of them is read: the list
+can miss an unread function, but every name it prints is unread.
+
+With --fields it lists options instead: the non-static data members of
+each `struct *Config` / `struct *Options` (nested ones included) that no
+non-test code writes.  A write is the member name after `.` or `->`
+followed by an assignment (`x.f = v`, `x->f += v`, a designated
+`{.f = v}`), or anywhere in such a chain (`x.f.g = v` writes f and g).
+Names are matched bare here too, so a write to any member called `f`
+counts for every option called `f`, and the list can miss an option
+nothing sets.  Aggregate initialisation by position (`Config{a, b}`) and
+writes through a reference to the member are not seen, so such a write
+lists its option although it is set: write designated initialisers.
 
 Without --check, prints one `Class::name` (or `name` for a free function)
 per line, sorted.  With --check, compares that list with ALLOWLIST (one
 name per line, `#` comments allowed) and exits 1 if a name is missing from
-the allowlist (new code that only tests read: delete it, or read it) or an
-allowlisted name is no longer found (it was deleted or gained a reader:
-drop the line), so the allowlist can only shrink.
+the allowlist (new code that only tests read or set: delete it, or use
+it) or an allowlisted name is no longer found (it was deleted or gained a
+reader: drop the line), so the allowlist can only shrink.
 """
 
 import argparse
@@ -40,6 +53,13 @@ KEYWORDS = {"return", "else", "new", "delete", "case", "throw", "sizeof",
 TYPE_HEAD = re.compile(r"\b(class|struct|union|enum|namespace)\b\s*(\w*)")
 ACCESS = re.compile(r"^\s*(?:public|private|protected)\s*:(?!:)")
 WORD = re.compile(r"[A-Za-z_]\w*")
+# An option struct, and an assignment to a chain of members.
+OPTION_STRUCT = re.compile(r"(?:Config|Options)$")
+MEMBER_WRITE = re.compile(
+    r"((?:(?:\.|->)\s*[A-Za-z_]\w*\s*)+)(?:[-+*/%&|^]|<<|>>)?=(?!=)")
+TEMPLATE_ARGS = re.compile(r"<[^<>]*>")
+MEMBER_NAME = re.compile(r"\w[\w:\s*&]*?[\s*&]([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?$")
+NOT_A_FIELD = {"static", "using", "typedef", "friend", "template"}
 
 
 def strip_comments_and_strings(text):
@@ -87,11 +107,11 @@ def strip_preprocessor(text):
 
 
 def heads(text):
-    """Yields (scope, head) for each declaration-like statement head.
+    """Yields (classes, head) for each declaration-like statement head.
 
-    `scope` is the innermost enclosing class name, "" at namespace scope,
-    or None inside a function body or an initializer.  A head is the text
-    before a `;` or `{` that is not itself inside a body.
+    `classes` lists the enclosing class names, outermost first ([] at
+    namespace scope), or is None inside a function body or an initializer.
+    A head is the text before a `;` or `{` that is not itself inside a body.
     """
     stack = []  # (kind, name)
     buf = []
@@ -103,12 +123,11 @@ def heads(text):
         buf = []
         in_body = any(kind == "body" for kind, _ in stack)
         classes = [name for kind, name in stack if kind == "class"]
-        scope = None if in_body else (classes[-1] if classes else "")
         if c == "}":
             if stack:
                 stack.pop()
             continue
-        yield scope, head
+        yield (None if in_body else classes), head
         if c == "{":
             m = TYPE_HEAD.search(head)
             if "(" not in head and m and m.group(1) == "namespace":
@@ -144,9 +163,10 @@ def unread_names(root):
         text = strip_preprocessor(text)
         is_header = path.endswith(".h") and os.path.relpath(
             path, root).startswith("src" + os.sep)
-        for scope, head in heads(text):
-            if scope is None:
+        for classes, head in heads(text):
+            if classes is None:
                 continue
+            scope = classes[-1] if classes else ""
             m = DECL.match(head)
             if not m or m.group(2) in KEYWORDS:
                 continue
@@ -158,6 +178,39 @@ def unread_names(root):
     return sorted(q for name, quals in declared.items()
                   if words.get(name, 0) <= own_uses.get(name, 0)
                   for q in quals)
+
+
+def field_name(head):
+    """The member a data-member declaration head declares, or None."""
+    decl = head.split("=", 1)[0].strip()
+    while TEMPLATE_ARGS.search(decl):
+        decl = TEMPLATE_ARGS.sub("", decl)
+    if not decl or "(" in decl or TYPE_HEAD.search(decl):
+        return None
+    if NOT_A_FIELD & set(WORD.findall(decl)):
+        return None
+    m = MEMBER_NAME.match(decl)
+    return m.group(1) if m else None
+
+
+def unset_fields(root):
+    declared = []   # (bare name, qualified name)
+    written = set()
+    for path in source_files(root):
+        with open(path, encoding="utf-8") as f:
+            text = strip_comments_and_strings(f.read())
+        for chain in MEMBER_WRITE.findall(text):
+            written.update(WORD.findall(chain))
+        if not (path.endswith(".h") and os.path.relpath(
+                path, root).startswith("src" + os.sep)):
+            continue
+        for classes, head in heads(strip_preprocessor(text)):
+            if not classes or not OPTION_STRUCT.search(classes[-1]):
+                continue
+            name = field_name(head)
+            if name is not None:
+                declared.append((name, "::".join(classes + [name])))
+    return sorted(q for name, q in declared if name not in written)
 
 
 def read_allowlist(path):
@@ -172,9 +225,11 @@ def read_allowlist(path):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--fields", action="store_true",
+                        help="list options nothing sets, not functions")
     parser.add_argument("--check", metavar="ALLOWLIST")
     args = parser.parse_args()
-    found = unread_names(os.getcwd())
+    found = (unset_fields if args.fields else unread_names)(os.getcwd())
     if args.check is None:
         print("\n".join(found))
         return 0
