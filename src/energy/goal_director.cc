@@ -256,14 +256,14 @@ void GoalDirector::Evaluate() {
   if (action == AdaptAction::kDegrade) {
     bool allowed = !last_degrade_.has_value() ||
                    now - *last_degrade_ >= config_.degrade_interval;
-    if (odyssey::AdaptiveApplication* app =
-            allowed ? PickTarget(/*degrade=*/true) : nullptr) {
+    odyssey::AdaptiveApplication* app = PickTarget(/*degrade=*/true);
+    if (allowed && app != nullptr) {
       int level = app->current_fidelity() - 1;
       viceroy_->IssueUpcall(app, level);
       fidelity_log_[app].push_back(FidelityChange{now, level});
       last_degrade_ = now;
       infeasible_since_.reset();
-    } else if (PickTarget(/*degrade=*/true) == nullptr &&
+    } else if (app == nullptr &&
                demand > residual * (1.0 + kInfeasibilityDeficitFraction)) {
       // Demand materially exceeds supply with everything already at lowest
       // fidelity: the goal may be infeasible.  Alert once this has persisted

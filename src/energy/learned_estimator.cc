@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "src/util/logging.h"
 
@@ -12,24 +11,26 @@ namespace odenergy {
 LearnedEstimator::LearnedEstimator(odpower::Machine* machine,
                                    odsim::SimTime now,
                                    const odpower::LearnedModelConfig& config)
-    : probe_(machine, now), model_(probe_.dim(), config) {}
+    : probe_(machine, now),
+      model_(probe_.dim(), config),
+      window_phi_(static_cast<size_t>(probe_.dim())),
+      snapshot_phi_(static_cast<size_t>(probe_.dim())) {}
 
 double LearnedEstimator::OnSample(odsim::SimTime now, double gauge_watts,
                                   bool train) {
   // Energy prediction uses the window's occupancy fractions: the model is
   // linear, so coefficients apply to time-averages of the state
   // indicators just as they do to the indicators themselves.
-  double window_seconds = 0.0;
-  std::vector<double> phi = probe_.DrainWindow(now, &window_seconds);
-  double predicted = model_.PredictWatts(phi);
+  double window_seconds = probe_.DrainWindow(now, window_phi_);
+  double predicted = model_.PredictWatts(window_phi_);
   last_predicted_watts_ = predicted;
   if (window_seconds > 0.0) {
     learned_joules_ += predicted * window_seconds;
   }
-  std::vector<double> snapshot = probe_.SnapshotFeatures();
+  probe_.SnapshotFeatures(snapshot_phi_);
   uint64_t combination = 0;
-  for (size_t i = 1; i < snapshot.size() && i < 64; ++i) {
-    if (snapshot[i] > 0.5) {
+  for (size_t i = 1; i < snapshot_phi_.size() && i < 64; ++i) {
+    if (snapshot_phi_[i] > 0.5) {
       combination |= uint64_t{1} << i;
     }
   }
@@ -52,7 +53,7 @@ double LearnedEstimator::OnSample(odsim::SimTime now, double gauge_watts,
     // instant, so training pairs it with the snapshot state indicators —
     // regressing an instantaneous target on window averages attenuates
     // every coefficient for a component that switches within the window.
-    model_.Observe(snapshot, gauge_watts);
+    model_.Observe(snapshot_phi_, gauge_watts);
     record.seconds += window_seconds;
     trained_seconds_total_ += window_seconds;
     record.trained_at = trained_seconds_total_;

@@ -25,6 +25,7 @@
 #include <deque>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "src/power/learned_model.h"
 #include "src/power/utilization.h"
@@ -91,6 +92,10 @@ class LearnedEstimator {
  private:
   odpower::UtilizationProbe probe_;
   odpower::LearnedModel model_;
+  // Feature buffers the probe fills each sample, so a sample allocates
+  // nothing: the drained window's occupancies and the snapshot indicators.
+  std::vector<double> window_phi_;
+  std::vector<double> snapshot_phi_;
   double learned_joules_ = 0.0;
   bool convergence_marked_ = false;
   double last_predicted_watts_ = 0.0;

@@ -36,6 +36,7 @@
 #define SRC_POWER_LEARNED_MODEL_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace odpower {
@@ -60,11 +61,11 @@ class LearnedModel {
   // (length dim()).  Call with the *observed* gauge reading — corrupted or
   // not; the model must mirror what the gauge says, never the analytic
   // accounting (that independence is what the drift cross-check rests on).
-  void Observe(const std::vector<double>& phi, double measured_watts);
+  void Observe(std::span<const double> phi, double measured_watts);
 
   // Current fit evaluated at `phi`, clamped to be non-negative (a power
   // model never predicts the machine generates energy).
-  double PredictWatts(const std::vector<double>& phi) const;
+  double PredictWatts(std::span<const double> phi) const;
 
   double coefficient(int index) const {
     return theta_[static_cast<size_t>(index)];
@@ -91,13 +92,18 @@ class LearnedModel {
   double Pc(int row, int col) const {
     return p_[static_cast<size_t>(row * dim_ + col)];
   }
+  // The symmetrised covariance step of Observe(), from gain_ and pphi_.
+  void UpdateCovariance();
 
   int dim_;
   LearnedModelConfig config_;
   std::vector<double> theta_;  // Fitted coefficients, watts.
-  std::vector<double> p_;      // Covariance, row-major dim x dim.
+  // Covariance, row-major dim x dim.  Exactly symmetric between updates:
+  // Observe() computes the upper triangle and mirrors it.
+  std::vector<double> p_;
   std::vector<double> gain_;   // Scratch: k = P phi / denom.
   std::vector<double> pphi_;   // Scratch: P phi.
+  std::vector<int> active_;    // Scratch: indices j with phi_j != 0.
   int samples_ = 0;
   int guarded_updates_ = 0;
   int skipped_updates_ = 0;

@@ -1,5 +1,7 @@
 #include "src/power/utilization.h"
 
+#include <algorithm>
+
 #include "src/util/check.h"
 
 namespace odpower {
@@ -57,27 +59,23 @@ void UtilizationProbe::OnMachinePowerChanged(odsim::SimTime now) {
   Accrue(now);
 }
 
-std::vector<double> UtilizationProbe::DrainWindow(odsim::SimTime now,
-                                                 double* window_seconds) {
+double UtilizationProbe::DrainWindow(odsim::SimTime now,
+                                     std::span<double> phi) {
+  OD_CHECK(static_cast<int>(phi.size()) == dim());
   Accrue(now);
   double window = (now - window_start_).seconds();
-  std::vector<double> phi(static_cast<size_t>(dim()), 0.0);
   phi[0] = 1.0;
-  if (window > 0.0) {
-    for (size_t i = 0; i < window_seconds_.size(); ++i) {
-      phi[i + 1] = window_seconds_[i] / window;
-    }
-  }
-  if (window_seconds != nullptr) {
-    *window_seconds = window;
+  for (size_t i = 0; i < window_seconds_.size(); ++i) {
+    phi[i + 1] = window > 0.0 ? window_seconds_[i] / window : 0.0;
   }
   window_start_ = now;
-  window_seconds_.assign(features_.size(), 0.0);
-  return phi;
+  std::fill(window_seconds_.begin(), window_seconds_.end(), 0.0);
+  return window;
 }
 
-std::vector<double> UtilizationProbe::SnapshotFeatures() const {
-  std::vector<double> phi(static_cast<size_t>(dim()), 0.0);
+void UtilizationProbe::SnapshotFeatures(std::span<double> phi) const {
+  OD_CHECK(static_cast<int>(phi.size()) == dim());
+  std::fill(phi.begin(), phi.end(), 0.0);
   phi[0] = 1.0;
   for (size_t c = 0; c < baseline_state_.size(); ++c) {
     int slot = feature_index_[static_cast<size_t>(
@@ -86,7 +84,6 @@ std::vector<double> UtilizationProbe::SnapshotFeatures() const {
       phi[static_cast<size_t>(slot) + 1] = 1.0;
     }
   }
-  return phi;
 }
 
 std::string UtilizationProbe::FeatureName(int index) const {

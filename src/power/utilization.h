@@ -30,6 +30,7 @@
 #ifndef SRC_POWER_UTILIZATION_H_
 #define SRC_POWER_UTILIZATION_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,19 +53,19 @@ class UtilizationProbe final : public MachineObserver {
   // component state.
   int dim() const { return static_cast<int>(features_.size()) + 1; }
 
-  // Closes the window at `now` and returns its feature vector (intercept
-  // first, occupancies as fractions of the window).  `window_seconds`
-  // receives the window length.  A zero-length window returns the intercept
-  // with zero occupancies.
-  std::vector<double> DrainWindow(odsim::SimTime now, double* window_seconds);
+  // Closes the window at `now`, writes its feature vector into `phi`
+  // (length dim(); intercept first, occupancies as fractions of the window)
+  // and returns the window length in seconds.  A zero-length window gives
+  // the intercept with zero occupancies.
+  double DrainWindow(odsim::SimTime now, std::span<double> phi);
 
-  // The instantaneous feature vector: 1.0 for each component's *current*
-  // state (0 for its baseline), intercept first.  A gauge reading is a
-  // snapshot of machine power at the sampling instant, so the regression
-  // must be trained against the snapshot states; window occupancies are
-  // time-averages of exactly these indicators, so the same linear model
-  // then predicts window energy.
-  std::vector<double> SnapshotFeatures() const;
+  // Writes the instantaneous feature vector into `phi` (length dim()): 1.0
+  // for each component's *current* state (0 for its baseline), intercept
+  // first.  A gauge reading is a snapshot of machine power at the sampling
+  // instant, so the regression must be trained against the snapshot
+  // states; window occupancies are time-averages of exactly these
+  // indicators, so the same linear model then predicts window energy.
+  void SnapshotFeatures(std::span<double> phi) const;
 
   // Human-readable feature name: "bias" or "<component>[<state>]".
   std::string FeatureName(int index) const;

@@ -1,0 +1,100 @@
+// Allocation budget of the learned estimator's sample path.
+//
+// This binary replaces the global operator new with a counting one, so it
+// holds only tests that measure allocations.  The probe writes each
+// sample's window and snapshot features into buffers the estimator owns,
+// and the model updates in place, so once every state combination the
+// machine visits has its excitation record, a sample allocates nothing,
+// whether it trains the model or not.
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "src/energy/learned_estimator.h"
+#include "src/power/component.h"
+#include "src/power/machine.h"
+#include "src/sim/simulator.h"
+
+namespace {
+std::atomic<uint64_t> g_allocations{0};
+}  // namespace
+
+// Out of line: inlined into a caller, GCC pairs the caller's `new` with
+// the `free` below and reports a mismatched deallocation.
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete[](void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace odenergy {
+namespace {
+
+uint64_t Allocations() { return g_allocations.load(std::memory_order_relaxed); }
+
+// A three-component machine whose states follow a fixed 12-sample cycle,
+// sampled at 10 Hz as the goal director samples its gauge.
+struct Rig {
+  odsim::Simulator sim;
+  odpower::Machine machine{&sim, 0.0};
+  odpower::Component* cpu = machine.AddComponent(
+      std::make_unique<odpower::Component>("cpu", std::vector<double>{1.0, 4.0}, 0));
+  odpower::Component* radio = machine.AddComponent(
+      std::make_unique<odpower::Component>(
+          "radio", std::vector<double>{0.2, 1.5, 2.0}, 0));
+  odpower::Component* disk = machine.AddComponent(
+      std::make_unique<odpower::Component>(
+          "disk", std::vector<double>{0.1, 0.9, 2.3, 3.0}, 0));
+  LearnedEstimator estimator{&machine, sim.Now()};
+  int step = 0;
+
+  // Runs `count` samples, training the model when `train`.
+  void Sample(int count, bool train) {
+    for (int i = 0; i < count; ++i, ++step) {
+      cpu->SetState(step % 2);
+      radio->SetState((step / 2) % 3);
+      disk->SetState((step / 3) % 4);
+      sim.RunUntil(sim.Now() + odsim::SimDuration::Millis(100));
+      estimator.OnSample(sim.Now(), machine.TotalPower(), train);
+    }
+  }
+};
+
+TEST(LearnedAllocTest, WarmSampleAllocatesNothing) {
+  Rig rig;
+  // Warm-up: one pass of the cycle gives every state combination its
+  // excitation record.
+  rig.Sample(12, /*train=*/true);
+
+  uint64_t before = Allocations();
+  rig.Sample(1200, /*train=*/true);
+  EXPECT_EQ(Allocations() - before, 0u);
+  EXPECT_EQ(rig.estimator.model().samples(), 1212);
+
+  before = Allocations();
+  rig.Sample(1200, /*train=*/false);
+  EXPECT_EQ(Allocations() - before, 0u);
+  EXPECT_EQ(rig.estimator.model().samples(), 1212);
+}
+
+}  // namespace
+}  // namespace odenergy

@@ -7,6 +7,7 @@
 
 #include "src/power/learned_model.h"
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -68,12 +69,12 @@ TEST(LearnedModelTest, CoefficientsClampToPhysicalBounds) {
   // An (erroneous) 500 W target: no component of this machine draws that,
   // so the fit must saturate at the bound instead of following.
   for (int i = 0; i < 200; ++i) {
-    model.Observe({1.0, 1.0}, 500.0);
+    model.Observe(std::array{1.0, 1.0}, 500.0);
   }
   EXPECT_LE(model.coefficient(0), 25.0);
   EXPECT_LE(model.coefficient(1), 25.0);
   for (int i = 0; i < 200; ++i) {
-    model.Observe({1.0, 1.0}, -500.0);
+    model.Observe(std::array{1.0, 1.0}, -500.0);
   }
   EXPECT_GE(model.coefficient(0), -5.0);
   EXPECT_GE(model.coefficient(1), -5.0);
@@ -81,11 +82,11 @@ TEST(LearnedModelTest, CoefficientsClampToPhysicalBounds) {
 
 TEST(LearnedModelTest, NonFiniteInputsAreSkippedNotFolded) {
   LearnedModel model(2);
-  model.Observe({1.0, 0.5}, 8.0);
+  model.Observe(std::array{1.0, 0.5}, 8.0);
   int samples = model.samples();
-  model.Observe({1.0, 0.5}, std::nan(""));
-  model.Observe({1.0, std::nan("")}, 8.0);
-  model.Observe({1.0, 0.5}, std::numeric_limits<double>::infinity());
+  model.Observe(std::array{1.0, 0.5}, std::nan(""));
+  model.Observe(std::array{1.0, std::nan("")}, 8.0);
+  model.Observe(std::array{1.0, 0.5}, std::numeric_limits<double>::infinity());
   EXPECT_EQ(model.samples(), samples);
   EXPECT_EQ(model.skipped_updates(), 3);
 }
@@ -93,11 +94,11 @@ TEST(LearnedModelTest, NonFiniteInputsAreSkippedNotFolded) {
 TEST(LearnedModelTest, PredictionIsClampedNonNegative) {
   LearnedModel model(2);
   for (int i = 0; i < 100; ++i) {
-    model.Observe({1.0, 1.0}, 0.1);
-    model.Observe({1.0, 0.0}, 2.0);
+    model.Observe(std::array{1.0, 1.0}, 0.1);
+    model.Observe(std::array{1.0, 0.0}, 2.0);
   }
   // Extrapolating past the data could go negative; a power model must not.
-  EXPECT_GE(model.PredictWatts({1.0, 2.0}), 0.0);
+  EXPECT_GE(model.PredictWatts(std::array{1.0, 2.0}), 0.0);
 }
 
 TEST(LearnedModelTest, CovarianceGuardCatchesUnexcitedFeatures) {
@@ -117,13 +118,13 @@ TEST(LearnedModelTest, ConfidenceRampsWithSamplesAndQuality) {
   EXPECT_FALSE(model.converged());
   EXPECT_EQ(model.confidence(), 0.0);
   for (int i = 0; i < 30; ++i) {
-    model.Observe({1.0, 0.5}, 7.0);
+    model.Observe(std::array{1.0, 0.5}, 7.0);
   }
   double early = model.confidence();
   EXPECT_GT(early, 0.0);
   EXPECT_FALSE(model.converged());  // Below convergence_samples.
   for (int i = 0; i < 200; ++i) {
-    model.Observe({1.0, 0.5}, 7.0);
+    model.Observe(std::array{1.0, 0.5}, 7.0);
   }
   EXPECT_GT(model.confidence(), early);
   EXPECT_TRUE(model.converged());
@@ -147,8 +148,8 @@ TEST(UtilizationProbeTest, OccupanciesMatchHandComputedResidency) {
   sim.Schedule(odsim::SimDuration::Seconds(8), [&] { b->SetState(2); });
   sim.RunUntil(odsim::SimTime::Seconds(10));
 
-  double window = 0.0;
-  std::vector<double> phi = probe.DrainWindow(sim.Now(), &window);
+  std::vector<double> phi(static_cast<size_t>(probe.dim()));
+  double window = probe.DrainWindow(sim.Now(), phi);
   EXPECT_DOUBLE_EQ(window, 10.0);
   ASSERT_EQ(phi.size(), 4u);
   EXPECT_DOUBLE_EQ(phi[0], 1.0);
@@ -167,8 +168,7 @@ TEST(UtilizationProbeTest, OccupanciesMatchHandComputedResidency) {
   EXPECT_NEAR(occupancy_b2, 0.2, 1e-12);
 
   // The drain reset the window: an immediate re-drain is empty.
-  std::vector<double> empty = probe.DrainWindow(sim.Now(), &window);
-  EXPECT_DOUBLE_EQ(window, 0.0);
+  EXPECT_DOUBLE_EQ(probe.DrainWindow(sim.Now(), phi), 0.0);
 
   // Truth access (evaluation only): increments over each component's
   // baseline state, and the resting intercept.
@@ -202,9 +202,9 @@ TEST(UtilizationProbeTest, FeatureStreamCarriesNoCalibratedWattage) {
       std::make_unique<Component>("c", std::vector<double>{4.0, 9.0}, 0));
   UtilizationProbe probe(&machine, sim.Now());
   sim.RunUntil(odsim::SimTime::Seconds(5));
-  double window = 0.0;
-  std::vector<double> phi = probe.DrainWindow(sim.Now(), &window);
-  ASSERT_EQ(phi.size(), 2u);
+  ASSERT_EQ(probe.dim(), 2);
+  std::vector<double> phi(2);
+  probe.DrainWindow(sim.Now(), phi);
   EXPECT_DOUBLE_EQ(phi[0], 1.0);
   EXPECT_DOUBLE_EQ(phi[1], 0.0);  // Resting: no trace of the 4 W draw.
 }
