@@ -9,7 +9,6 @@
 #include "src/fault/fault_injector.h"
 #include "src/net/link.h"
 #include "src/scenario/library.h"
-#include "src/odyssey/server.h"
 #include "src/odyssey/viceroy.h"
 #include "src/odyssey/warden.h"
 #include "src/powerscope/online_monitor.h"
@@ -139,17 +138,15 @@ FleetResult RunFleetScenario(const FleetOptions& options) {
     devices.push_back(std::move(d));
   }
 
-  // Fault targets: stall windows hit the shared service (through a facade
-  // session); device-scoped kinds target device 0.
-  std::unique_ptr<odyssey::RemoteServer> fault_handle;
+  // Fault targets: stall windows hit the shared service; device-scoped
+  // kinds target device 0.
   std::unique_ptr<odfault::FaultInjector> injector;
   if (!options.fault_plan.empty()) {
-    fault_handle = std::make_unique<odyssey::RemoteServer>(&service);
     odfault::FaultTargets targets;
     targets.link = devices[0]->link.get();
     targets.rpc = &devices[0]->viceroy->rpc();
     targets.pm = &devices[0]->laptop->power_manager();
-    targets.servers.push_back(fault_handle.get());
+    targets.servers.push_back(&service);
     targets.monitor = devices[0]->monitor.get();
     injector = std::make_unique<odfault::FaultInjector>(&sim, targets);
   }
@@ -199,7 +196,7 @@ FleetResult RunFleetScenario(const FleetOptions& options) {
           "obj" + std::to_string(object) + "@f" + std::to_string(level);
       ++d.fetches;
       ++d.outstanding;
-      d.warden->FetchKeyed(
+      d.warden->Fetch(
           key, kRequestBytes, spec.reply_bytes, spec.distill_time,
           [&d](const odyssey::Warden::FetchOutcome&) { --d.outstanding; });
     }

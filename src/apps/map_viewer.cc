@@ -85,12 +85,12 @@ void MapViewer::ViewMap(const MapObject& map, odsim::EventFn on_done) {
   double server = kMapCal.server_seconds * rng_->Uniform(0.85, 1.15);
   odsim::Simulator* sim = viceroy_->sim();
 
-  warden_->FetchMapWithStatus(
-      kMapCal.request_bytes, bytes, odsim::SimDuration::Seconds(server),
-      [this, bytes, sim,
-       on_done = std::move(on_done)](odnet::RpcStatus status) mutable {
+  warden_->Fetch(
+      "", kMapCal.request_bytes, bytes, odsim::SimDuration::Seconds(server),
+      [this, bytes, sim, on_done = std::move(on_done)](
+          const odyssey::Warden::FetchOutcome& outcome) mutable {
         size_t rendered_bytes = bytes;
-        if (status != odnet::RpcStatus::kOk) {
+        if (outcome.status != odnet::RpcStatus::kOk) {
           // Fetch failed: redraw the cached map (possibly nothing, early in
           // a session) rather than wait on a dead channel.
           ++maps_degraded_;

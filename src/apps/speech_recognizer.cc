@@ -92,11 +92,12 @@ void SpeechRecognizer::RunRemote(double seconds, odsim::EventFn on_done) {
   auto waveform =
       static_cast<size_t>(kSpeechCal.waveform_bytes_per_second * seconds);
   double server = rtf * seconds * rng_->Uniform(0.95, 1.05);
-  warden_->RemoteRecognize(waveform, kSpeechCal.reply_bytes,
-                           odsim::SimDuration::Seconds(server),
-                           [this, on_done = std::move(on_done)]() mutable {
-                             Finish(std::move(on_done));
-                           });
+  warden_->Fetch("", waveform, kSpeechCal.reply_bytes,
+                 odsim::SimDuration::Seconds(server),
+                 [this, on_done = std::move(on_done)](
+                     const odyssey::Warden::FetchOutcome&) mutable {
+                   Finish(std::move(on_done));
+                 });
 }
 
 void SpeechRecognizer::RunHybrid(double seconds, odsim::EventFn on_done) {
@@ -111,11 +112,12 @@ void SpeechRecognizer::RunHybrid(double seconds, odsim::EventFn on_done) {
   viceroy_->sim()->SubmitWork(
       janus_pid_, search_proc_, odsim::SimDuration::Seconds(phase1),
       [this, compact, server, on_done = std::move(on_done)]() mutable {
-        warden_->RemoteRecognize(compact, kSpeechCal.reply_bytes,
-                                 odsim::SimDuration::Seconds(server),
-                                 [this, on_done = std::move(on_done)]() mutable {
-                                   Finish(std::move(on_done));
-                                 });
+        warden_->Fetch("", compact, kSpeechCal.reply_bytes,
+                       odsim::SimDuration::Seconds(server),
+                       [this, on_done = std::move(on_done)](
+                           const odyssey::Warden::FetchOutcome&) mutable {
+                         Finish(std::move(on_done));
+                       });
       });
 }
 

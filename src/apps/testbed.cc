@@ -1,7 +1,7 @@
 #include "src/apps/testbed.h"
 
-#include "src/odyssey/server.h"
 #include "src/odyssey/warden.h"
+#include "src/serve/shared_service.h"
 #include "src/util/check.h"
 
 namespace odapps {
@@ -51,7 +51,7 @@ void DegradedClient::Arm(const odfault::FaultPlan& plan,
   for (const char* data_type : {"video", "speech", "map", "web"}) {
     odyssey::Warden* warden = bed_.viceroy().FindWarden(data_type);
     if (warden != nullptr) {
-      targets.servers.push_back(warden->server());
+      targets.servers.push_back(warden->service());
     }
   }
   targets.monitor = monitor != nullptr ? monitor : &idle_monitor_;
@@ -124,7 +124,7 @@ TestBed::Measurement TestBed::Collect(odsim::SimTime start) {
   }
 
   for (const auto& warden : viceroy_->wardens()) {
-    odserve::SharedService* service = warden->server()->service();
+    odserve::SharedService* service = warden->service();
     Measurement::ServerStats& stats = m.by_server[service->name()];
     stats.queue_depth = service->queue_depth();
     stats.busy_seconds = service->total_busy_seconds();

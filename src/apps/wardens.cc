@@ -40,28 +40,10 @@ void VideoWarden::StreamChunk(size_t bytes, odsim::SimDuration warden_cpu,
 SpeechWarden::SpeechWarden(odsim::Simulator* sim)
     : OdysseyWardenBase("speech", sim, "_rpc2_SendResponse") {}
 
-void SpeechWarden::RemoteRecognize(size_t waveform_bytes, size_t reply_bytes,
-                                   odsim::SimDuration server_time,
-                                   odsim::EventFn on_done) {
-  Fetch(waveform_bytes, reply_bytes, server_time, std::move(on_done));
-}
-
 MapWarden::MapWarden(odsim::Simulator* sim)
     : OdysseyWardenBase("map", sim, "_map_FetchReply") {}
 
-void MapWarden::FetchMapWithStatus(size_t request_bytes, size_t map_bytes,
-                                   odsim::SimDuration server_time,
-                                   odnet::RpcClient::StatusFn on_done) {
-  FetchWithStatus(request_bytes, map_bytes, server_time, std::move(on_done));
-}
-
 WebWarden::WebWarden(odsim::Simulator* sim)
     : OdysseyWardenBase("web", sim, "_distill_Fetch") {}
-
-void WebWarden::FetchImageWithStatus(size_t request_bytes, size_t image_bytes,
-                                     odsim::SimDuration distill_time,
-                                     odnet::RpcClient::StatusFn on_done) {
-  FetchWithStatus(request_bytes, image_bytes, distill_time, std::move(on_done));
-}
 
 }  // namespace odapps

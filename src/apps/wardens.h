@@ -46,33 +46,18 @@ class VideoWarden : public OdysseyWardenBase {
 class SpeechWarden : public OdysseyWardenBase {
  public:
   explicit SpeechWarden(odsim::Simulator* sim);
-
-  void RemoteRecognize(size_t waveform_bytes, size_t reply_bytes,
-                       odsim::SimDuration server_time, odsim::EventFn on_done);
 };
 
 // Fetches maps, annotated with filter/crop requests, from the map server.
 class MapWarden : public OdysseyWardenBase {
  public:
   explicit MapWarden(odsim::Simulator* sim);
-
-  // Typed variant: the viewer falls back to its cached map when the fetch
-  // fails instead of waiting on a dead channel.
-  void FetchMapWithStatus(size_t request_bytes, size_t map_bytes,
-                          odsim::SimDuration server_time,
-                          odnet::RpcClient::StatusFn on_done);
 };
 
 // Fetches Web images through the distillation server.
 class WebWarden : public OdysseyWardenBase {
  public:
   explicit WebWarden(odsim::Simulator* sim);
-
-  // Typed variant: the browser renders a text-only page when the image
-  // never arrives.
-  void FetchImageWithStatus(size_t request_bytes, size_t image_bytes,
-                            odsim::SimDuration distill_time,
-                            odnet::RpcClient::StatusFn on_done);
 };
 
 }  // namespace odapps

@@ -74,12 +74,12 @@ void WebBrowser::BrowsePage(const WebImage& image, odsim::EventFn on_done) {
   }
   odsim::Simulator* sim = viceroy_->sim();
 
-  warden_->FetchImageWithStatus(
-      kWebCal.request_bytes, bytes, odsim::SimDuration::Seconds(distill),
-      [this, bytes, sim,
-       on_done = std::move(on_done)](odnet::RpcStatus status) mutable {
+  warden_->Fetch(
+      "", kWebCal.request_bytes, bytes, odsim::SimDuration::Seconds(distill),
+      [this, bytes, sim, on_done = std::move(on_done)](
+          const odyssey::Warden::FetchOutcome& outcome) mutable {
         size_t rendered_bytes = bytes;
-        if (status != odnet::RpcStatus::kOk) {
+        if (outcome.status != odnet::RpcStatus::kOk) {
           // The image never arrived; lay out the text-only page so the
           // browsing loop keeps moving instead of wedging on a dead link.
           ++pages_degraded_;

@@ -261,12 +261,11 @@ void DriftSentinel::AddInterval(double dt_seconds, double gauge_joules,
   }
   while (!window_.empty() &&
          total_.seconds - window_.front().span.seconds >= kWindowSeconds) {
-    const Interval& old = window_.front();
+    const Interval old = window_.pop_front();
     total_.Add(old.span, -1.0);
     if (old.confident) {
       confident_.Add(old.span, -1.0);
     }
-    window_.pop_front();
   }
 }
 

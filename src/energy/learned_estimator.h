@@ -22,7 +22,6 @@
 #define SRC_ENERGY_LEARNED_ESTIMATOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "src/power/learned_model.h"
 #include "src/power/utilization.h"
 #include "src/sim/time.h"
+#include "src/util/fifo.h"
 
 namespace odenergy {
 
@@ -264,7 +264,7 @@ class DriftSentinel {
     bool confident = false;
   };
 
-  std::deque<Interval> window_;
+  odutil::Fifo<Interval> window_;
   Totals total_;      // Every interval in the window.
   Totals confident_;  // The confident intervals only.
 

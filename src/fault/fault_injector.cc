@@ -84,7 +84,7 @@ void FaultInjector::Begin(const FaultEvent& event) {
       break;
     }
     case FaultKind::kServerStall:
-      for (odyssey::RemoteServer* server : targets_.servers) {
+      for (odserve::SharedService* server : targets_.servers) {
         server->SetStalled(true);
       }
       break;
@@ -172,7 +172,7 @@ void FaultInjector::End(const FaultEvent& event) {
       break;
     case FaultKind::kServerStall:
       if (last) {
-        for (odyssey::RemoteServer* server : targets_.servers) {
+        for (odserve::SharedService* server : targets_.servers) {
           server->SetStalled(false);
         }
       }

@@ -19,9 +19,9 @@
 #include "src/fault/fault_plan.h"
 #include "src/net/link.h"
 #include "src/net/rpc.h"
-#include "src/odyssey/server.h"
 #include "src/power/power_manager.h"
 #include "src/powerscope/power_monitor.h"
+#include "src/serve/shared_service.h"
 #include "src/sim/simulator.h"
 
 namespace odfault {
@@ -32,7 +32,7 @@ struct FaultTargets {
   odnet::Link* link = nullptr;            // bandwidth, outage
   odnet::RpcClient* rpc = nullptr;        // loss
   odpower::PowerManager* pm = nullptr;    // disk
-  std::vector<odyssey::RemoteServer*> servers;  // stall
+  std::vector<odserve::SharedService*> servers;  // stall
   // dropout, stale, nan, gauge, ramp — must expose a TelemetryFaults
   // switchboard.
   odscope::PowerMonitor* monitor = nullptr;

@@ -34,41 +34,21 @@ void RpcClient::set_config(const RpcConfig& config) {
 
 void RpcClient::Call(size_t request_bytes, size_t reply_bytes,
                      odsim::SimDuration server_time, odsim::EventFn on_reply) {
-  CallWithCompute(
+  Call(
       request_bytes, reply_bytes,
-      [this, server_time](odsim::EventFn done) {
-        sim_->Schedule(server_time, std::move(done));
+      [this, server_time](std::function<void(bool)> done) {
+        sim_->Schedule(server_time,
+                       [done = std::move(done)] { done(/*served=*/true); });
       },
-      std::move(on_reply));
+      [on_reply = std::move(on_reply)](RpcStatus) {
+        if (on_reply) {
+          on_reply();
+        }
+      });
 }
 
-void RpcClient::CallWithCompute(size_t request_bytes, size_t reply_bytes,
-                                ComputeFn compute, odsim::EventFn on_reply) {
-  // Historical contract: completion fires regardless of outcome and the
-  // caller never learns why.  The status is simply dropped.
-  CallWithStatus(request_bytes, reply_bytes, std::move(compute),
-                 [on_reply = std::move(on_reply)](RpcStatus) {
-                   if (on_reply) {
-                     on_reply();
-                   }
-                 });
-}
-
-void RpcClient::CallWithStatus(size_t request_bytes, size_t reply_bytes,
-                               ComputeFn compute, StatusFn on_complete) {
-  Start(request_bytes, reply_bytes, std::move(compute), nullptr,
-        std::move(on_complete));
-}
-
-void RpcClient::CallWithOutcome(size_t request_bytes, size_t reply_bytes,
-                                OutcomeComputeFn compute, StatusFn on_complete) {
-  Start(request_bytes, reply_bytes, nullptr, std::move(compute),
-        std::move(on_complete));
-}
-
-void RpcClient::Start(size_t request_bytes, size_t reply_bytes,
-                      ComputeFn compute, OutcomeComputeFn outcome_compute,
-                      StatusFn on_complete) {
+void RpcClient::Call(size_t request_bytes, size_t reply_bytes,
+                     OutcomeComputeFn compute, StatusFn on_complete) {
   // Hold the interface out of standby across the whole exchange: the client
   // must listen for the reply while the server computes.
   pm_->BeginNetworkUse();
@@ -77,7 +57,6 @@ void RpcClient::Start(size_t request_bytes, size_t reply_bytes,
   call.request_bytes = request_bytes;
   call.reply_bytes = reply_bytes;
   call.compute = std::move(compute);
-  call.outcome_compute = std::move(outcome_compute);
   call.on_complete = std::move(on_complete);
   call.attempt = 1;
   call.retry_timer = odsim::EventHandle();
@@ -102,7 +81,6 @@ void RpcClient::Settle(CallRef ref, RpcStatus status) {
   // never from inside the call's compute, so dropping it here cannot
   // destroy a running closure.
   call.compute = nullptr;
-  call.outcome_compute = nullptr;
   StatusFn done = std::move(call.on_complete);
   call.on_complete = nullptr;
   calls_.Release(ref);
@@ -141,12 +119,7 @@ void RpcClient::OnRequestSent(CallRef ref) {
     Retry(ref);
     return;
   }
-  if (call->outcome_compute) {
-    call->outcome_compute(
-        [this, ref](bool served) { OnComputed(ref, served); });
-  } else {
-    call->compute([this, ref] { OnComputed(ref, /*served=*/true); });
-  }
+  call->compute([this, ref](bool served) { OnComputed(ref, served); });
 }
 
 void RpcClient::OnComputed(CallRef ref, bool served) {

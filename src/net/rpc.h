@@ -11,9 +11,8 @@
 // Retransmission backs off exponentially with seeded jitter (a fixed retry
 // period synchronizes badly with bursty loss), the attempt count is capped,
 // and an optional per-call deadline bounds the worst case even when the
-// channel is in full outage and transfers never complete.  Callers that care
-// why a call ended use CallWithStatus; the classic Call/CallWithCompute
-// entry points keep their historical contract of always completing.
+// channel is in full outage and transfers never complete.  Every call
+// settles exactly once with a typed RpcStatus saying why it ended.
 
 #ifndef SRC_NET_RPC_H_
 #define SRC_NET_RPC_H_
@@ -65,46 +64,31 @@ class RpcClient {
   RpcClient(const RpcClient&) = delete;
   RpcClient& operator=(const RpcClient&) = delete;
 
-  // The server-side computation between request and reply: invoked with a
-  // completion callback once the request has arrived.  Lets callers route
-  // the work through a queued server model instead of a fixed delay.
-  using ComputeFn = std::function<void(odsim::EventFn done)>;
+  // The server-side computation between request and reply, invoked once
+  // the request has arrived (again on every retransmitted request that
+  // arrives).  It completes with `served`: true for content produced (the
+  // full reply follows), false for an admission reject (the server answered
+  // with a small typed refusal instead of computing).
+  using OutcomeComputeFn = std::function<void(std::function<void(bool served)>)>;
 
   // Completion with the call's typed outcome.
   using StatusFn = std::function<void(RpcStatus status)>;
 
-  // Issues a request/response exchange with a fixed server processing time.
-  // `on_reply` fires once the full reply has been received (or the call gave
-  // up); the warden falls back to whatever arrived and upper layers see
-  // completion.
+  // Issues a request/response exchange whose server-side work is `compute`
+  // (e.g. a submit to a queued odserve::SharedService).  `on_complete`
+  // fires once, when the reply has been received or the call gave up.  A
+  // reject transmits a `kRejectReplyBytes` refusal back to the client and
+  // settles the call with RpcStatus::kRejected immediately — no
+  // retransmission: the server deliberately refused, and retrying into an
+  // overloaded queue only deepens it.  Backpressure belongs to the caller
+  // (the viceroy's overload clamp), not the transport.
+  void Call(size_t request_bytes, size_t reply_bytes, OutcomeComputeFn compute,
+            StatusFn on_complete);
+
+  // Call with a fixed server processing time that never refuses, and a
+  // completion that ignores the outcome.
   void Call(size_t request_bytes, size_t reply_bytes, odsim::SimDuration server_time,
             odsim::EventFn on_reply);
-
-  // As Call, but the server-side work is performed by `compute` (e.g.
-  // submitted to a odyssey::RemoteServer queue).  If a reply is lost, the
-  // retransmitted request recomputes.
-  void CallWithCompute(size_t request_bytes, size_t reply_bytes, ComputeFn compute,
-                       odsim::EventFn on_reply);
-
-  // As CallWithCompute, but the completion receives the typed outcome, so
-  // the caller can distinguish a reply from a failed call and degrade.
-  void CallWithStatus(size_t request_bytes, size_t reply_bytes, ComputeFn compute,
-                      StatusFn on_complete);
-
-  // Server-side computation that may refuse the request: invoked with a
-  // completion taking `served` — true for content produced (the full reply
-  // follows), false for an admission reject (the server answered with a
-  // small typed refusal instead of computing).
-  using OutcomeComputeFn = std::function<void(std::function<void(bool served)>)>;
-
-  // As CallWithStatus, but the server may reject at admission.  A reject
-  // transmits a `kRejectReplyBytes` refusal back to the client and settles
-  // the call with RpcStatus::kRejected immediately — no retransmission:
-  // the server deliberately refused, and retrying into an overloaded
-  // queue only deepens it.  Backpressure belongs to the caller (the
-  // viceroy's overload clamp), not the transport.
-  void CallWithOutcome(size_t request_bytes, size_t reply_bytes,
-                       OutcomeComputeFn compute, StatusFn on_complete);
 
   // Size of the refusal message an admission reject sends back.
   static constexpr size_t kRejectReplyBytes = 64;
@@ -136,10 +120,7 @@ class RpcClient {
   struct CallState {
     size_t request_bytes = 0;
     size_t reply_bytes = 0;
-    // Exactly one is set: `compute` for CallWithStatus (never refuses),
-    // `outcome_compute` for CallWithOutcome.
-    ComputeFn compute;
-    OutcomeComputeFn outcome_compute;
+    OutcomeComputeFn compute;
     StatusFn on_complete;
     int attempt = 1;  // 1-based; attempt - 1 retries have been spent.
     // The current attempt's loss draws, made when each message is sent.
@@ -150,8 +131,6 @@ class RpcClient {
   };
   using CallRef = odutil::SlotPool<CallState>::Handle;
 
-  void Start(size_t request_bytes, size_t reply_bytes, ComputeFn compute,
-             OutcomeComputeFn outcome_compute, StatusFn on_complete);
   void Attempt(CallRef ref);
   void OnRequestSent(CallRef ref);
   void OnComputed(CallRef ref, bool served);

@@ -43,7 +43,12 @@ bool Interceptor::Read(const std::string& path, size_t request_bytes, size_t byt
     return false;
   }
   ++intercepted_;
-  warden->Fetch(request_bytes, bytes, server_time, std::move(on_done));
+  warden->Fetch("", request_bytes, bytes, server_time,
+                [on_done = std::move(on_done)](const Warden::FetchOutcome&) {
+                  if (on_done) {
+                    on_done();
+                  }
+                });
   return true;
 }
 

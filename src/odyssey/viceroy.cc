@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/odyssey/warden.h"
+#include "src/serve/shared_service.h"
 #include "src/util/check.h"
 #include "src/util/logging.h"
 
@@ -42,12 +43,10 @@ void Viceroy::UnregisterApplication(AdaptiveApplication* app) {
 
 Warden* Viceroy::RegisterWarden(std::unique_ptr<Warden> warden) {
   OD_CHECK(warden != nullptr);
-  OD_CHECK(FindWarden(warden->data_type()) == nullptr);
-  warden->viceroy_ = this;
-  warden->server_ =
-      std::make_unique<RemoteServer>(sim_, warden->data_type() + "-server");
-  wardens_.push_back(std::move(warden));
-  return wardens_.back().get();
+  warden->owned_service_ = std::make_unique<odserve::SharedService>(
+      sim_, warden->data_type() + "-server");
+  odserve::SharedService* service = warden->owned_service_.get();
+  return RegisterWarden(std::move(warden), service);
 }
 
 Warden* Viceroy::RegisterWarden(std::unique_ptr<Warden> warden,
@@ -56,8 +55,8 @@ Warden* Viceroy::RegisterWarden(std::unique_ptr<Warden> warden,
   OD_CHECK(service != nullptr);
   OD_CHECK(FindWarden(warden->data_type()) == nullptr);
   warden->viceroy_ = this;
-  warden->server_ =
-      std::make_unique<RemoteServer>(service);
+  warden->service_ = service;
+  warden->session_ = service->OpenSession(warden->data_type());
   wardens_.push_back(std::move(warden));
   return wardens_.back().get();
 }

@@ -53,9 +53,10 @@ class Viceroy {
   // -- Wardens ---------------------------------------------------------------
 
   // The viceroy owns wardens; one per data type in the system.  The
-  // one-argument form gives the warden a private server (the classic
-  // single-client testbed); the two-argument form attaches the warden as a
-  // session on a shared service so many devices multiplex one server.
+  // one-argument form gives the warden a dedicated default-config service
+  // of its own (the classic single-client testbed); the two-argument form
+  // opens a session on a shared service so many devices multiplex one
+  // server.
   Warden* RegisterWarden(std::unique_ptr<Warden> warden);
   Warden* RegisterWarden(std::unique_ptr<Warden> warden,
                          odserve::SharedService* service);
@@ -100,7 +101,7 @@ class Viceroy {
 
   // -- Server overload and the overload clamp --------------------------------
 
-  // Wardens report keyed-fetch outcomes here.  A run of consecutive
+  // Wardens report fetch outcomes here.  A run of consecutive
   // admission rejects (three or more) means the shared service is
   // saturated: every app is clamped to its cheapest fidelity, which both
   // shrinks this device's demand and — because low fidelity keys repeat —

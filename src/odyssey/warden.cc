@@ -11,19 +11,9 @@ Warden::Warden(std::string data_type) : data_type_(std::move(data_type)) {}
 
 Warden::~Warden() = default;
 
-void Warden::Fetch(size_t request_bytes, size_t reply_bytes,
-                   odsim::SimDuration server_time, odsim::EventFn on_done) {
-  FetchWithStatus(request_bytes, reply_bytes, server_time,
-                  [on_done = std::move(on_done)](odnet::RpcStatus) {
-                    if (on_done) {
-                      on_done();
-                    }
-                  });
-}
-
-void Warden::FetchKeyed(const std::string& key, size_t request_bytes,
-                        size_t reply_bytes, odsim::SimDuration server_time,
-                        OutcomeFn on_done) {
+void Warden::Fetch(const std::string& key, size_t request_bytes,
+                   size_t reply_bytes, odsim::SimDuration server_time,
+                   OutcomeFn on_done) {
   OD_CHECK_MSG(viceroy_ != nullptr, "warden used before registration");
   FetchRef ref = fetches_.Acquire();
   FetchState& fetch = fetches_[ref];
@@ -31,7 +21,7 @@ void Warden::FetchKeyed(const std::string& key, size_t request_bytes,
   fetch.server_time = server_time;
   fetch.serve = odserve::ServeOutcome::kServed;
   fetch.on_done = std::move(on_done);
-  viceroy_->rpc().CallWithOutcome(
+  viceroy_->rpc().Call(
       request_bytes, reply_bytes,
       [this, ref](std::function<void(bool)> done) {
         SubmitFetch(ref, std::move(done));
@@ -44,10 +34,10 @@ void Warden::SubmitFetch(FetchRef ref, std::function<void(bool)> rpc_done) {
   // released only when it settles, so the record is live here.
   FetchState& fetch = fetches_[ref];
   fetch.rpc_done = std::move(rpc_done);
-  server_->SubmitKeyed(fetch.key, fetch.server_time,
-                       [this, ref](odserve::ServeOutcome outcome) {
-                         OnServed(ref, outcome);
-                       });
+  service_->SubmitKeyed(session_, fetch.key, fetch.server_time,
+                        [this, ref](odserve::ServeOutcome outcome) {
+                          OnServed(ref, outcome);
+                        });
 }
 
 void Warden::OnServed(FetchRef ref, odserve::ServeOutcome outcome) {
@@ -82,26 +72,6 @@ void Warden::FinishFetch(FetchRef ref, odnet::RpcStatus status) {
   if (on_done) {
     on_done(FetchOutcome{status, serve});
   }
-}
-
-void Warden::FetchWithStatus(size_t request_bytes, size_t reply_bytes,
-                             odsim::SimDuration server_time,
-                             odnet::RpcClient::StatusFn on_done) {
-  OD_CHECK_MSG(viceroy_ != nullptr, "warden used before registration");
-  RemoteServer* server = server_.get();
-  viceroy_->rpc().CallWithStatus(
-      request_bytes, reply_bytes,
-      [server, server_time](odsim::EventFn done) {
-        server->Submit(server_time, std::move(done));
-      },
-      [this, on_done = std::move(on_done)](odnet::RpcStatus status) {
-        if (status != odnet::RpcStatus::kOk) {
-          ++failed_fetches_;
-        }
-        if (on_done) {
-          on_done(status);
-        }
-      });
 }
 
 }  // namespace odyssey

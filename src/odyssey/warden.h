@@ -15,7 +15,7 @@
 #include <string>
 
 #include "src/net/rpc.h"
-#include "src/odyssey/server.h"
+#include "src/serve/shared_service.h"
 #include "src/sim/simulator.h"
 #include "src/util/slot_pool.h"
 
@@ -33,23 +33,8 @@ class Warden {
 
   const std::string& data_type() const { return data_type_; }
 
-  // Fetches an object: sends a `request_bytes` annotated request, lets this
-  // type's server spend `server_time` producing the representation
-  // (filtering, transcoding, distillation), then receives `reply_bytes`.
-  // Concurrent fetches queue at the server.
-  void Fetch(size_t request_bytes, size_t reply_bytes, odsim::SimDuration server_time,
-             odsim::EventFn on_done);
-
-  // As Fetch, but the completion carries the RPC's typed outcome so the
-  // caller can degrade deliberately — reuse a cached object, render a
-  // placeholder — instead of pretending the fetch succeeded.  Failed
-  // fetches are counted per warden.
-  void FetchWithStatus(size_t request_bytes, size_t reply_bytes,
-                       odsim::SimDuration server_time,
-                       odnet::RpcClient::StatusFn on_done);
-
-  // How a keyed fetch ended: the RPC outcome plus, for completed calls,
-  // how the service satisfied it (dedicated/batched compute vs the
+  // How a fetch ended: the RPC outcome plus, for completed calls, how the
+  // service satisfied it (dedicated/batched compute vs the
   // distilled-content cache).
   struct FetchOutcome {
     odnet::RpcStatus status = odnet::RpcStatus::kOk;
@@ -57,32 +42,39 @@ class Warden {
   };
   using OutcomeFn = std::function<void(const FetchOutcome&)>;
 
-  // Keyed fetch against this type's (possibly shared) service.  `key`
-  // names the distilled content — object id plus fidelity level — so the
-  // service can batch identical in-flight work and serve repeats from its
-  // cache.  Admission rejects come back typed (RpcStatus::kRejected); the
-  // warden counts them and reports server overload to the viceroy, whose
-  // clamp degrades the client rather than letting it hammer a full queue.
-  void FetchKeyed(const std::string& key, size_t request_bytes,
-                  size_t reply_bytes, odsim::SimDuration server_time,
-                  OutcomeFn on_done);
+  // Fetches an object: sends a `request_bytes` annotated request, lets this
+  // type's server spend `server_time` producing the representation
+  // (filtering, transcoding, distillation), then receives `reply_bytes`.
+  // Concurrent fetches queue at the server.  `key` names the distilled
+  // content — object id plus fidelity level — so a shared service can
+  // batch identical in-flight work and serve repeats from its cache; it
+  // may be empty on a service that does neither.  The completion carries
+  // the typed outcome so the caller can degrade deliberately — reuse a
+  // cached object, render a placeholder — instead of pretending the fetch
+  // succeeded.  Failed fetches are counted; admission rejects
+  // (RpcStatus::kRejected) are counted apart and reported to the viceroy,
+  // whose overload clamp degrades the client rather than letting it hammer
+  // a full queue.
+  void Fetch(const std::string& key, size_t request_bytes, size_t reply_bytes,
+             odsim::SimDuration server_time, OutcomeFn on_done);
 
   // Fetches that ended without a reply (retries exhausted or deadline).
   int failed_fetches() const { return failed_fetches_; }
-  // Keyed fetches refused by admission control.
+  // Fetches refused by admission control.
   int rejected_fetches() const { return rejected_fetches_; }
-  // Keyed fetches served from the distilled-content cache.
+  // Fetches served from the distilled-content cache.
   int cache_hits() const { return cache_hits_; }
 
   Viceroy* viceroy() { return viceroy_; }
 
-  // This data type's server; created at registration.
-  RemoteServer* server() { return server_.get(); }
+  // This data type's server, set at registration: a dedicated service the
+  // warden owns, or a service shared with other devices.
+  odserve::SharedService* service() { return service_; }
 
  private:
   friend class Viceroy;
 
-  // One keyed fetch's state, pooled per warden.  The RPC's compute step,
+  // One fetch's state, pooled per warden.  The RPC's compute step,
   // the service's completion and the RPC's status completion capture only
   // `{this, FetchRef}`; the record carries the key and the serve outcome
   // between them.  Released when the RPC settles, so a completion from a
@@ -103,7 +95,9 @@ class Warden {
 
   std::string data_type_;
   Viceroy* viceroy_ = nullptr;  // Set at registration.
-  std::unique_ptr<RemoteServer> server_;
+  std::unique_ptr<odserve::SharedService> owned_service_;  // Dedicated only.
+  odserve::SharedService* service_ = nullptr;
+  int session_ = -1;
   int failed_fetches_ = 0;
   int rejected_fetches_ = 0;
   int cache_hits_ = 0;

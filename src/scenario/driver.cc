@@ -218,9 +218,9 @@ void ScenarioDriver::DriveSync() {
   ++counters_.sync_fetches;
   odyssey::Warden* warden = bed_->viceroy().FindWarden("web");
   OD_CHECK(warden != nullptr);
-  warden->Fetch(kSyncRequestBytes, kSyncReplyBytes,
+  warden->Fetch("", kSyncRequestBytes, kSyncReplyBytes,
                 odsim::SimDuration::Millis(kSyncServerMillis),
-                [this, unit_start] {
+                [this, unit_start](const odyssey::Warden::FetchOutcome&) {
                   odsim::SimTime at = unit_start + sync_period_;
                   if (at <= bed_->sim().Now()) {
                     DriveSync();

@@ -20,24 +20,6 @@ int SharedService::OpenSession(std::string /*client_name*/) {
   return session_count_++;
 }
 
-void SharedService::Submit(int session, odsim::SimDuration work,
-                           odsim::EventFn on_done) {
-  OD_CHECK(work >= odsim::SimDuration::Zero());
-  OD_CHECK(session >= 0 && session < session_count_);
-  // Unkeyed submits predate admission control and carry no reject channel;
-  // a bounded service must be driven through SubmitKeyed.
-  OD_CHECK_MSG(config_.max_queue == 0,
-               "unkeyed Submit on a service with admission control");
-  Request request;
-  request.work = work * (1.0 / config_.speed_factor);
-  request.submitted = sim_->Now();
-  request.on_done = std::move(on_done);
-  queue_.push_back(std::move(request));
-  if (!busy_) {
-    StartNext();
-  }
-}
-
 void SharedService::SubmitKeyed(int session, const std::string& key,
                                 odsim::SimDuration work, ServeFn on_done) {
   OD_CHECK(work >= odsim::SimDuration::Zero());
@@ -72,18 +54,35 @@ void SharedService::SubmitKeyed(int session, const std::string& key,
   Request request;
   request.work = work * (1.0 / config_.speed_factor);
   request.submitted = sim_->Now();
-  request.keyed = true;
   request.key = key;
-  request.on_served = std::move(on_done);
-  queue_.push_back(std::move(request));
+  request.on_done = std::move(on_done);
   if (config_.batch_same_key) {
-    Request& queued = queue_.back();
-    bool inserted = queued_by_key_.emplace(queued.key, &queued).second;
+    bool inserted =
+        queued_by_key_.emplace(key, dequeued_ + queue_.size()).second;
     OD_CHECK(inserted);
   }
+  queue_.push_back(std::move(request));
   if (!busy_) {
     StartNext();
   }
+}
+
+void SharedService::Submit(int session, odsim::SimDuration work,
+                           odsim::EventFn on_done) {
+  // No reject channel, and a completion that cannot tell a cache hit from
+  // compute: only a service that never rejects, batches or caches.
+  OD_CHECK_MSG(config_.max_queue == 0,
+               "outcome-blind Submit on a service with admission control");
+  OD_CHECK_MSG(!config_.batch_same_key,
+               "outcome-blind Submit on a batching service");
+  OD_CHECK_MSG(config_.cache_capacity == 0,
+               "outcome-blind Submit on a caching service");
+  SubmitKeyed(session, std::string(), work,
+              [on_done = std::move(on_done)](ServeOutcome) {
+                if (on_done) {
+                  on_done();
+                }
+              });
 }
 
 void SharedService::SetStalled(bool stalled) {
@@ -97,27 +96,26 @@ void SharedService::SetStalled(bool stalled) {
 }
 
 SharedService::Request* SharedService::FindBatchTarget(const std::string& key) {
-  if (busy_ && in_service_keyed_ && in_service_key_ == key) {
+  if (in_service_joinable_ && in_service_.key == key) {
     return &in_service_;
   }
   auto it = queued_by_key_.find(key);
-  return it == queued_by_key_.end() ? nullptr : it->second;
+  return it == queued_by_key_.end() ? nullptr
+                                    : &queue_[it->second - dequeued_];
 }
 
 void SharedService::StartNext() {
   if (queue_.empty() || stalled_) {
     busy_ = false;
-    in_service_keyed_ = false;
     return;
   }
   busy_ = true;
-  if (queue_.front().keyed && config_.batch_same_key) {
-    queued_by_key_.erase(queue_.front().key);
+  in_service_ = queue_.pop_front();
+  ++dequeued_;
+  if (config_.batch_same_key) {
+    queued_by_key_.erase(in_service_.key);
   }
-  in_service_ = std::move(queue_.front());
-  queue_.pop_front();
-  in_service_keyed_ = in_service_.keyed;
-  in_service_key_ = in_service_.key;
+  in_service_joinable_ = true;
   total_busy_seconds_ += in_service_.work.seconds();
   RecordWait(in_service_.submitted, sim_->Now());
   sim_->Schedule(in_service_.work, [this] {
@@ -125,12 +123,11 @@ void SharedService::StartNext() {
     // callback may submit new work (or try to join a batch), and it must
     // not attach to a request that has already been served.  busy_ stays
     // true until the trailing StartNext so a resubmitting callback queues
-    // behind the dequeue loop instead of starting service mid-event —
-    // the historical RemoteServer reentrancy contract.
+    // behind the dequeue loop instead of starting service mid-event.
     Request done = std::move(in_service_);
-    in_service_keyed_ = false;
+    in_service_joinable_ = false;
     ++completed_;
-    if (done.keyed && config_.cache_capacity > 0) {
+    if (config_.cache_capacity > 0) {
       CacheInsert(done.key);
     }
     odsim::SimTime now = sim_->Now();
@@ -139,10 +136,7 @@ void SharedService::StartNext() {
       ++completed_;
     }
     if (done.on_done) {
-      done.on_done();
-    }
-    if (done.on_served) {
-      done.on_served(ServeOutcome::kServed);
+      done.on_done(ServeOutcome::kServed);
     }
     for (Waiter& waiter : done.joined) {
       if (waiter.on_done) {

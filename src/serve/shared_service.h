@@ -11,18 +11,18 @@
 //     rejected immediately, and the typed reject flows back through
 //     odnet::RpcStatus so viceroys degrade deliberately instead of piling
 //     retries onto an overloaded server;
-//   - request batching: keyed submits for work already queued or in
+//   - request batching: submits of a key whose work is already queued or in
 //     service join that request instead of enqueueing duplicate compute
 //     (the same map tile distilled once, delivered to every waiter);
-//   - a distilled-content cache: completed keyed work is remembered under
+//   - a distilled-content cache: completed work is remembered under
 //     its content key (object id + fidelity); a later submit for the same
 //     key is served from cache instead of re-distilled, with deterministic
 //     LRU eviction at capacity.
 //
 // A service with the default config (unbounded queue, batching off, cache
-// off) behaves event-for-event like the historical per-warden RemoteServer:
-// a fleet of one through the odyssey::RemoteServer facade reproduces the
-// single-client goldens byte-identically.
+// off) is the paper's dedicated per-warden server: a testbed warden owns
+// one, and its fetches reproduce the single-client goldens
+// byte-identically.
 //
 // Determinism: requests are served strictly in arrival order (a global
 // submission sequence), including across a stall clear that lands at the
@@ -33,19 +33,19 @@
 #define SRC_SERVE_SHARED_SERVICE_H_
 
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <list>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "src/sim/simulator.h"
+#include "src/util/fifo.h"
 
 namespace odserve {
 
-// How a keyed submit was ultimately satisfied (or not).
+// How a submit was ultimately satisfied (or not).
 enum class ServeOutcome {
   kServed,    // Dedicated or batched compute produced the content.
   kCacheHit,  // Served from the distilled-content cache; no compute.
@@ -55,11 +55,11 @@ enum class ServeOutcome {
 struct ServiceConfig {
   // Scales submitted work (a 2x-faster server halves it).
   double speed_factor = 1.0;
-  // Admission bound on queue depth (waiting + in service).  A keyed submit
+  // Admission bound on queue depth (waiting + in service).  A submit
   // arriving when queue_depth() >= max_queue is rejected.  0 = unbounded
   // (no admission control; every request is accepted).
   int max_queue = 0;
-  // Coalesce a keyed submit with already-queued or in-service work for the
+  // Coalesce a submit with already-queued or in-service work for the
   // same key: one unit of compute, every waiter completed.
   bool batch_same_key = false;
   // Distilled-content cache capacity in entries; 0 disables the cache.
@@ -81,20 +81,21 @@ class SharedService {
 
   // -- Submission ------------------------------------------------------------
 
-  // Unkeyed FIFO compute, the historical RemoteServer contract: never
-  // rejected, never batched, never cached.  `on_done` fires when this
-  // request's work completes.  Only valid on a service without admission
-  // control (an unkeyed submit has no reject channel).
-  void Submit(int session, odsim::SimDuration work, odsim::EventFn on_done);
-
   using ServeFn = std::function<void(ServeOutcome)>;
 
-  // Keyed submit: eligible for the cache, for batching, and for admission
-  // rejection.  The completion callback may fire synchronously (cache hit,
-  // reject) or later (served).  `key` identifies the distilled content —
-  // object id plus fidelity — so equal keys are equal bytes.
+  // Queues `work` of compute under `key`, which names the distilled
+  // content (object id plus fidelity, so equal keys are equal bytes) and
+  // may be empty.  The request is eligible for the cache, for batching and
+  // for admission rejection, as the config enables them.  `on_done` fires
+  // synchronously on a cache hit or a reject, and later when served.
   void SubmitKeyed(int session, const std::string& key, odsim::SimDuration work,
                    ServeFn on_done);
+
+  // SubmitKeyed with an empty key and a completion that ignores the
+  // outcome.  Only valid on a service that neither bounds its queue, nor
+  // batches, nor caches, so the request is never rejected, batched or
+  // cached.
+  void Submit(int session, odsim::SimDuration work, odsim::EventFn on_done);
 
   // -- Stall (fault injection) -----------------------------------------------
 
@@ -135,10 +136,8 @@ class SharedService {
   struct Request {
     odsim::SimDuration work;          // Already scaled by speed_factor.
     odsim::SimTime submitted;
-    bool keyed = false;
     std::string key;
-    odsim::EventFn on_done;           // Unkeyed completion.
-    ServeFn on_served;                // Keyed completion.
+    ServeFn on_done;
     std::vector<Waiter> joined;       // Batched same-key waiters.
   };
 
@@ -153,17 +152,20 @@ class SharedService {
   ServiceConfig config_;
   int session_count_ = 0;
 
-  std::deque<Request> queue_;  // Arrival order; front is served next.
-  // Batch targets: each queued keyed request by key, kept while
-  // batch_same_key is on.  Batching queues at most one request per key (a
-  // second submit joins the first), so this finds exactly the request a
-  // front-to-back scan would.  The views point at the requests' own keys;
-  // deque elements stay put under push_back/pop_front.
-  std::unordered_map<std::string_view, Request*> queued_by_key_;
+  odutil::Fifo<Request> queue_;  // Arrival order; front is served next.
+  uint64_t dequeued_ = 0;  // Requests that have left queue_ for service.
+  // Batch targets: each queued request's position in arrival order (its
+  // index in queue_ plus dequeued_) by key, kept while batch_same_key is
+  // on.  Batching queues at most one request per key (a second submit
+  // joins the first), so this finds exactly the request a front-to-back
+  // scan would.
+  std::unordered_map<std::string, uint64_t> queued_by_key_;
   bool busy_ = false;
-  bool in_service_keyed_ = false;
-  std::string in_service_key_;
-  Request in_service_;  // Valid while busy_: joiners attach here.
+  Request in_service_;  // Valid while busy_.
+  // True while in_service_ computes and a same-key submit may join it.
+  // Cleared when its work completes, before any completion runs: a
+  // completion that resubmits must never join the request just served.
+  bool in_service_joinable_ = false;
   bool stalled_ = false;
 
   double total_busy_seconds_ = 0.0;

@@ -27,6 +27,24 @@ class Fifo {
   bool empty() const { return head_ == items_.size(); }
   size_t size() const { return items_.size() - head_; }
 
+  // The `i`-th oldest element; front() is the oldest.  Requires
+  // i < size().  A push may move every element, so references last only
+  // until the next push_back.
+  T& operator[](size_t i) {
+    OD_CHECK(i < size());
+    return items_[head_ + i];
+  }
+  const T& front() const {
+    OD_CHECK(!empty());
+    return items_[head_];
+  }
+
+  // Drops every element, keeping the capacity.
+  void clear() {
+    items_.clear();
+    head_ = 0;
+  }
+
   void push_back(T item) {
     if (head_ > 0 && head_ * 2 >= items_.size()) {
       items_.erase(items_.begin(),
@@ -42,8 +60,7 @@ class Fifo {
     T item = std::move(items_[head_]);
     ++head_;
     if (empty()) {
-      items_.clear();
-      head_ = 0;
+      clear();
     }
     return item;
   }

@@ -5,7 +5,8 @@
 // sample's window and snapshot features into buffers the estimator owns,
 // and the model updates in place, so once every state combination the
 // machine visits has its excitation record, a sample allocates nothing,
-// whether it trains the model or not.
+// whether it trains the model or not.  The drift sentinel's window reuses
+// its storage once it spans its length.
 
 #include <atomic>
 #include <cstdint>
@@ -94,6 +95,24 @@ TEST(LearnedAllocTest, WarmSampleAllocatesNothing) {
   rig.Sample(1200, /*train=*/false);
   EXPECT_EQ(Allocations() - before, 0u);
   EXPECT_EQ(rig.estimator.model().samples(), 1212);
+}
+
+// The drift sentinel's sliding window at the director's 10 Hz: once the
+// window spans kWindowSeconds, each interval pushed retires one, and the
+// window's storage is reused.
+TEST(LearnedAllocTest, WarmSentinelIntervalAllocatesNothing) {
+  DriftSentinel sentinel;
+  auto feed = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      sentinel.AddInterval(0.1, 1.0 + 0.01 * (i % 7), 1.0, i % 3 != 0);
+    }
+  };
+  feed(1000);
+
+  const uint64_t before = Allocations();
+  feed(10000);
+  EXPECT_EQ(Allocations() - before, 0u);
+  EXPECT_TRUE(sentinel.WindowJudgeable());
 }
 
 }  // namespace

@@ -6,9 +6,9 @@
 
 #include "src/net/link.h"
 #include "src/net/rpc.h"
-#include "src/odyssey/server.h"
 #include "src/power/thinkpad560x.h"
 #include "src/powerscope/online_monitor.h"
+#include "src/serve/shared_service.h"
 #include "src/sim/simulator.h"
 
 namespace odfault {
@@ -26,7 +26,7 @@ struct Rig {
   std::unique_ptr<odpower::Laptop> laptop = odpower::MakeThinkPad560X(&sim);
   odnet::Link link{&sim, &laptop->power_manager(), odnet::LinkConfig{}};
   odnet::RpcClient rpc{&sim, &link, &laptop->power_manager(), 7};
-  odyssey::RemoteServer server{&sim, "test-server"};
+  odserve::SharedService server{&sim, "test-server"};
   odscope::OnlineMonitor monitor{&sim, &laptop->machine(),
                                  odscope::OnlineMonitorConfig{}, 1};
 

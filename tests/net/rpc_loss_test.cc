@@ -166,8 +166,8 @@ TEST(RpcLossTest, RetryBackoffIsCappedExponentialWithJitter) {
   rig.rpc.set_config(config);
 
   RpcStatus status = RpcStatus::kOk;
-  rig.rpc.CallWithStatus(1000, 1000, [](odsim::EventFn done) { done(); },
-                         [&](RpcStatus s) { status = s; });
+  rig.rpc.Call(1000, 1000, [](std::function<void(bool)> done) { done(true); },
+               [&](RpcStatus s) { status = s; });
   rig.sim.Run();
   EXPECT_EQ(status, RpcStatus::kRetriesExhausted);
   EXPECT_EQ(rig.rpc.retransmissions(), 4);
@@ -188,8 +188,8 @@ TEST(RpcLossTest, DeadlineBoundsACallAcrossAnOutage) {
   rig.rpc.set_config(config);
 
   RpcStatus status = RpcStatus::kOk;
-  rig.rpc.CallWithStatus(1000, 1000, [](odsim::EventFn done) { done(); },
-                         [&](RpcStatus s) { status = s; });
+  rig.rpc.Call(1000, 1000, [](std::function<void(bool)> done) { done(true); },
+               [&](RpcStatus s) { status = s; });
   rig.sim.Run();
   // The call fails with the typed deadline status at exactly the deadline —
   // the liveness bound no retransmission policy can provide on a parked
@@ -232,11 +232,11 @@ TEST(RpcLossTest, StaleSendAfterDeadlineLeavesTheNextCallAlone) {
 
   int a_computes = 0;
   RpcStatus a_status = RpcStatus::kOk;
-  rig.rpc.CallWithStatus(
+  rig.rpc.Call(
       1000, 1000,
-      [&](odsim::EventFn done) {
+      [&](std::function<void(bool)> done) {
         ++a_computes;
-        done();
+        done(true);
       },
       [&](RpcStatus s) { a_status = s; });
   rig.sim.RunUntil(odsim::SimTime::Seconds(3));
@@ -245,11 +245,11 @@ TEST(RpcLossTest, StaleSendAfterDeadlineLeavesTheNextCallAlone) {
   // B's request queues behind A's, which still sits in the link.
   std::vector<odsim::SimTime> b_computed;
   std::vector<RpcStatus> b_status;
-  rig.rpc.CallWithStatus(
+  rig.rpc.Call(
       1000, 1000,
-      [&](odsim::EventFn done) {
+      [&](std::function<void(bool)> done) {
         b_computed.push_back(rig.sim.Now());
-        done();
+        done(true);
       },
       [&](RpcStatus s) { b_status.push_back(s); });
   rig.link.SetOutage(false);
@@ -279,12 +279,12 @@ TEST(RpcLossTest, ReplyLostRetryDoesNotCarryIntoTheNextCall) {
   // is lost too, and the call gives up after exactly one retransmission.
   auto lossy_call = [&](std::vector<RpcStatus>* status, int* computes) {
     rig.rpc.set_config(clean);
-    rig.rpc.CallWithStatus(
+    rig.rpc.Call(
         1000, 1000,
-        [&rig, &lossy, computes](odsim::EventFn done) {
+        [&rig, &lossy, computes](std::function<void(bool)> done) {
           ++*computes;
           rig.rpc.set_config(lossy);
-          done();
+          done(true);
         },
         [status](RpcStatus s) { status->push_back(s); });
     rig.sim.Run();
@@ -319,7 +319,7 @@ TEST(RpcLossTest, StaleRefusalDoesNotRejectTheNextCall) {
 
   // The server refuses A, and the channel dies before the refusal is sent.
   RpcStatus a_status = RpcStatus::kOk;
-  rig.rpc.CallWithOutcome(
+  rig.rpc.Call(
       1000, 1000,
       [&](std::function<void(bool)> done) {
         rig.link.SetOutage(true);
@@ -331,7 +331,7 @@ TEST(RpcLossTest, StaleRefusalDoesNotRejectTheNextCall) {
   ASSERT_EQ(rig.rpc.rejected(), 1);
 
   std::vector<RpcStatus> b_status;
-  rig.rpc.CallWithOutcome(
+  rig.rpc.Call(
       1000, 1000, [](std::function<void(bool)> done) { done(true); },
       [&](RpcStatus s) { b_status.push_back(s); });
   rig.link.SetOutage(false);

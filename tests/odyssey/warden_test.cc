@@ -25,8 +25,8 @@ TEST(WardenTest, FetchRunsRequestServerReply) {
   Warden* warden = rig.viceroy.RegisterWarden(std::make_unique<Warden>("map"));
   odsim::SimTime done_at;
   // 512 B request (~7 ms incl. setup), 1 s server, 250 KB reply (1.005 s).
-  warden->Fetch(512, 250000, odsim::SimDuration::Seconds(1),
-                [&] { done_at = rig.sim.Now(); });
+  warden->Fetch("", 512, 250000, odsim::SimDuration::Seconds(1),
+                [&](const Warden::FetchOutcome&) { done_at = rig.sim.Now(); });
   rig.sim.RunUntil(odsim::SimTime::Seconds(5));
   EXPECT_GT(done_at, odsim::SimTime::Seconds(2.0));
   EXPECT_LT(done_at, odsim::SimTime::Seconds(2.1));
@@ -43,8 +43,7 @@ TEST(WardenTest, RegistrationWiresViceroy) {
   EXPECT_EQ(warden->viceroy(), &rig.viceroy);
 }
 
-
-// A keyed fetch's record is released when its RPC settles and then serves
+// A fetch's record is released when its RPC settles and then serves
 // the next fetch.  A service that was stalled past the first fetch's
 // deadline answers it late; that answer must not reach the next fetch.
 TEST(WardenTest, LateServeAfterDeadlineLeavesTheNextFetchAlone) {
@@ -61,13 +60,13 @@ TEST(WardenTest, LateServeAfterDeadlineLeavesTheNextFetchAlone) {
   std::vector<Warden::FetchOutcome> outcomes;
   auto record = [&](const Warden::FetchOutcome& o) { outcomes.push_back(o); };
   // Distil "b" once so the next fetch of it is a cache hit.
-  warden->FetchKeyed("b", 256, 1024, work, record);
+  warden->Fetch("b", 256, 1024, work, record);
   rig.sim.RunUntil(odsim::SimTime::Seconds(5));
   ASSERT_EQ(outcomes.size(), 1u);
 
   // A: the stalled service holds it past the deadline.
   service.SetStalled(true);
-  warden->FetchKeyed("a", 256, 1024, work, record);
+  warden->Fetch("a", 256, 1024, work, record);
   rig.sim.RunUntil(odsim::SimTime::Seconds(8));
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[1].status, odnet::RpcStatus::kDeadlineExceeded);
@@ -75,7 +74,7 @@ TEST(WardenTest, LateServeAfterDeadlineLeavesTheNextFetchAlone) {
   // B reuses A's record; its request waits out an outage on the link while
   // the stall clears and the service finishes A (at 8.6 s).
   rig.link.SetOutage(true);
-  warden->FetchKeyed("b", 256, 1024, work, record);
+  warden->Fetch("b", 256, 1024, work, record);
   rig.sim.RunUntil(odsim::SimTime::Seconds(8.1));
   service.SetStalled(false);
   rig.sim.RunUntil(odsim::SimTime::Seconds(9));
@@ -89,6 +88,29 @@ TEST(WardenTest, LateServeAfterDeadlineLeavesTheNextFetchAlone) {
   EXPECT_EQ(outcomes[2].serve, odserve::ServeOutcome::kCacheHit);
   EXPECT_EQ(warden->cache_hits(), 1);
   EXPECT_EQ(warden->failed_fetches(), 1);
+}
+
+TEST(WardenServerTest, RegistrationCreatesServer) {
+  Rig rig;
+  Warden* warden = rig.viceroy.RegisterWarden(std::make_unique<Warden>("map"));
+  ASSERT_NE(warden->service(), nullptr);
+  EXPECT_EQ(warden->service()->name(), "map-server");
+}
+
+TEST(WardenServerTest, ConcurrentFetchesSerializeAtServer) {
+  Rig rig;
+  Warden* warden = rig.viceroy.RegisterWarden(std::make_unique<Warden>("map"));
+  odsim::SimTime first, second;
+  // Two fetches with 2 s of server work each; small transfers.
+  warden->Fetch("", 512, 1024, odsim::SimDuration::Seconds(2),
+                [&](const Warden::FetchOutcome&) { first = rig.sim.Now(); });
+  warden->Fetch("", 512, 1024, odsim::SimDuration::Seconds(2),
+                [&](const Warden::FetchOutcome&) { second = rig.sim.Now(); });
+  rig.sim.RunUntil(odsim::SimTime::Seconds(20));
+  // The second fetch waits for the first's server work: completions at
+  // roughly 2 s and 4 s (plus transfer overheads), not both at ~2 s.
+  EXPECT_GT((second - first).seconds(), 1.5);
+  EXPECT_EQ(warden->service()->completed_requests(), 2);
 }
 
 }  // namespace

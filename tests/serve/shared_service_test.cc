@@ -18,6 +18,126 @@ namespace {
 
 odsim::SimDuration Sec(double s) { return odsim::SimDuration::Seconds(s); }
 
+// -- The paper's remote server: a dedicated default service -----------------
+
+// A testbed warden's server is a default-config service with one session,
+// driven through the outcome-blind Submit.
+
+TEST(RemoteServerTest, SingleRequestTakesItsWork) {
+  odsim::Simulator sim;
+  SharedService server(&sim, "test-server");
+  int session = server.OpenSession("c");
+  odsim::SimTime done_at;
+  server.Submit(session, Sec(2), [&] { done_at = sim.Now(); });
+  sim.Run();
+  EXPECT_EQ(done_at, odsim::SimTime::Seconds(2));
+  EXPECT_EQ(server.completed_requests(), 1);
+  EXPECT_DOUBLE_EQ(server.total_busy_seconds(), 2.0);
+}
+
+TEST(RemoteServerTest, RequestsQueueFifo) {
+  odsim::Simulator sim;
+  SharedService server(&sim, "test-server");
+  int session = server.OpenSession("c");
+  odsim::SimTime first, second;
+  server.Submit(session, Sec(2), [&] { first = sim.Now(); });
+  server.Submit(session, Sec(1), [&] { second = sim.Now(); });
+  EXPECT_EQ(server.queue_depth(), 2);
+  sim.Run();
+  EXPECT_EQ(first, odsim::SimTime::Seconds(2));
+  EXPECT_EQ(second, odsim::SimTime::Seconds(3));
+  EXPECT_EQ(server.queue_depth(), 0);
+}
+
+TEST(RemoteServerTest, SpeedFactorScalesWork) {
+  odsim::Simulator sim;
+  SharedService server(&sim, "fast-server", ServiceConfig{.speed_factor = 2.0});
+  int session = server.OpenSession("c");
+  odsim::SimTime done_at;
+  server.Submit(session, Sec(2), [&] { done_at = sim.Now(); });
+  sim.Run();
+  EXPECT_EQ(done_at, odsim::SimTime::Seconds(1));
+}
+
+// Regression: a stall clear landing at the same timestamp as new submits
+// must drain in submission order — backlog first, then the same-timestamp
+// submits in the order they arrived, regardless of whether their events run
+// before or after the clear's event.
+TEST(RemoteServerTest, StallClearAtSubmitTimestampDrainsInSubmissionOrder) {
+  odsim::Simulator sim;
+  SharedService server(&sim, "test-server");
+  int session = server.OpenSession("c");
+  server.SetStalled(true);
+
+  std::vector<int> order;
+  std::vector<odsim::SimTime> at;
+  auto track = [&](int id) {
+    return [&, id] {
+      order.push_back(id);
+      at.push_back(sim.Now());
+    };
+  };
+  server.Submit(session, Sec(1), track(0));  // Backlog.
+
+  // Three same-timestamp events at t=3: submit, clear, submit.
+  sim.Schedule(Sec(3), [&] { server.Submit(session, Sec(1), track(1)); });
+  sim.Schedule(Sec(3), [&] { server.SetStalled(false); });
+  sim.Schedule(Sec(3), [&] { server.Submit(session, Sec(1), track(2)); });
+  sim.Run();
+
+  ASSERT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(at[0], odsim::SimTime::Seconds(4));
+  EXPECT_EQ(at[1], odsim::SimTime::Seconds(5));
+  EXPECT_EQ(at[2], odsim::SimTime::Seconds(6));
+}
+
+TEST(RemoteServerTest, ZeroWorkCompletesImmediately) {
+  odsim::Simulator sim;
+  SharedService server(&sim, "s");
+  int session = server.OpenSession("c");
+  bool done = false;
+  server.Submit(session, odsim::SimDuration::Zero(), [&] { done = true; });
+  sim.Run();
+  EXPECT_TRUE(done);
+}
+
+// Submit's completion cannot tell a served request from a cache hit and
+// has no reject channel, so it refuses any service that could do either.
+TEST(SharedServiceDeathTest, SubmitRefusesCachingBatchingOrBoundedService) {
+  for (const ServiceConfig& config :
+       {ServiceConfig{.max_queue = 4}, ServiceConfig{.batch_same_key = true},
+        ServiceConfig{.cache_capacity = 4}}) {
+    EXPECT_DEATH(
+        {
+          odsim::Simulator sim;
+          SharedService service(&sim, "s", config);
+          service.Submit(service.OpenSession("c"), Sec(1), nullptr);
+        },
+        "outcome-blind Submit");
+  }
+}
+
+// A completion that resubmits its own key must queue fresh work, never
+// join the request that has just been served.  The key is empty, as a
+// testbed fetch's is, so it also equals the served request's moved-from
+// key.
+TEST(SharedServiceBatchTest, CompletionResubmittingItsKeyQueuesAfresh) {
+  odsim::Simulator sim;
+  SharedService service(&sim, "s", ServiceConfig{.batch_same_key = true});
+  int session = service.OpenSession("c");
+  std::vector<double> done;
+  service.SubmitKeyed(session, "", Sec(1), [&](ServeOutcome) {
+    done.push_back(sim.Now().seconds());
+    service.SubmitKeyed(session, "", Sec(1), [&](ServeOutcome) {
+      done.push_back(sim.Now().seconds());
+    });
+  });
+  sim.Run();
+  EXPECT_EQ(done, (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(service.batch_joins(), 0);
+  EXPECT_DOUBLE_EQ(service.total_busy_seconds(), 2.0);
+}
+
 // -- Cache: deterministic LRU eviction at capacity ---------------------------
 
 TEST(SharedServiceCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
@@ -260,12 +380,12 @@ TEST(SharedServiceOverloadTest, RejectsClampThenRecoveryRestoresFidelity) {
   int filler = service.OpenSession("filler");
   service.SubmitKeyed(filler, "block", Sec(30), nullptr);
 
-  // Three keyed fetches, spaced out, all refused at the full queue.  The
+  // Three fetches, spaced out, all refused at the full queue.  The
   // third consecutive reject engages the overload clamp: fidelity drops
   // from mid-ladder to the floor.
   for (int i = 0; i < 3; ++i) {
     sim.Schedule(Sec(1 + i), [&, i] {
-      warden->FetchKeyed("k" + std::to_string(i), 256, 1024, Sec(1), nullptr);
+      warden->Fetch("k" + std::to_string(i), 256, 1024, Sec(1), nullptr);
     });
   }
   sim.RunUntil(odsim::SimTime::Seconds(10));
@@ -279,7 +399,7 @@ TEST(SharedServiceOverloadTest, RejectsClampThenRecoveryRestoresFidelity) {
   // exact pre-clamp fidelity.
   for (int i = 0; i < 3; ++i) {
     sim.Schedule(Sec(35 + 5 * i), [&, i] {
-      warden->FetchKeyed("ok" + std::to_string(i), 256, 1024, Sec(1), nullptr);
+      warden->Fetch("ok" + std::to_string(i), 256, 1024, Sec(1), nullptr);
     });
   }
   sim.RunUntil(odsim::SimTime::Seconds(44));
