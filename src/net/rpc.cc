@@ -36,9 +36,8 @@ void RpcClient::Call(size_t request_bytes, size_t reply_bytes,
                      odsim::SimDuration server_time, odsim::EventFn on_reply) {
   Call(
       request_bytes, reply_bytes,
-      [this, server_time](std::function<void(bool)> done) {
-        sim_->Schedule(server_time,
-                       [done = std::move(done)] { done(/*served=*/true); });
+      [this, server_time](ComputeDone done) {
+        sim_->Schedule(server_time, [done] { done(/*served=*/true); });
       },
       [on_reply = std::move(on_reply)](RpcStatus) {
         if (on_reply) {
@@ -119,7 +118,7 @@ void RpcClient::OnRequestSent(CallRef ref) {
     Retry(ref);
     return;
   }
-  call->compute([this, ref](bool served) { OnComputed(ref, served); });
+  call->compute(ComputeDone(this, ref));
 }
 
 void RpcClient::OnComputed(CallRef ref, bool served) {

@@ -57,7 +57,30 @@ struct RpcConfig {
 };
 
 class RpcClient {
+ private:
+  struct CallState;
+  using CallRef = odutil::SlotPool<CallState>::Handle;
+
  public:
+  // Completes a compute with `served`: true for content produced (the full
+  // reply follows), false for an admission reject (the server answered
+  // with a small typed refusal instead of computing).  `{client, call}`:
+  // 16 trivially copyable bytes, so a std::function, or a closure that
+  // captures one, holds it without allocating.  Inert once the call has
+  // settled.
+  class ComputeDone {
+   public:
+    ComputeDone() = default;
+    void operator()(bool served) const { client_->OnComputed(ref_, served); }
+
+   private:
+    friend class RpcClient;
+    ComputeDone(RpcClient* client, CallRef ref) : client_(client), ref_(ref) {}
+
+    RpcClient* client_ = nullptr;
+    CallRef ref_;
+  };
+
   RpcClient(odsim::Simulator* sim, Link* link, odpower::PowerManager* pm,
             uint64_t loss_seed = 0x59c0ffeeULL);
 
@@ -66,10 +89,8 @@ class RpcClient {
 
   // The server-side computation between request and reply, invoked once
   // the request has arrived (again on every retransmitted request that
-  // arrives).  It completes with `served`: true for content produced (the
-  // full reply follows), false for an admission reject (the server answered
-  // with a small typed refusal instead of computing).
-  using OutcomeComputeFn = std::function<void(std::function<void(bool served)>)>;
+  // arrives).  It completes through its ComputeDone.
+  using OutcomeComputeFn = std::function<void(ComputeDone done)>;
 
   // Completion with the call's typed outcome.
   using StatusFn = std::function<void(RpcStatus status)>;
@@ -129,7 +150,6 @@ class RpcClient {
     odsim::EventHandle deadline_timer;
     odsim::EventHandle retry_timer;
   };
-  using CallRef = odutil::SlotPool<CallState>::Handle;
 
   void Attempt(CallRef ref);
   void OnRequestSent(CallRef ref);

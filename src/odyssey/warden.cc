@@ -23,17 +23,17 @@ void Warden::Fetch(const std::string& key, size_t request_bytes,
   fetch.on_done = std::move(on_done);
   viceroy_->rpc().Call(
       request_bytes, reply_bytes,
-      [this, ref](std::function<void(bool)> done) {
-        SubmitFetch(ref, std::move(done));
+      [this, ref](odnet::RpcClient::ComputeDone done) {
+        SubmitFetch(ref, done);
       },
       [this, ref](odnet::RpcStatus status) { FinishFetch(ref, status); });
 }
 
-void Warden::SubmitFetch(FetchRef ref, std::function<void(bool)> rpc_done) {
+void Warden::SubmitFetch(FetchRef ref, odnet::RpcClient::ComputeDone rpc_done) {
   // The RPC computes only while its call is unsettled, and the record is
   // released only when it settles, so the record is live here.
   FetchState& fetch = fetches_[ref];
-  fetch.rpc_done = std::move(rpc_done);
+  fetch.rpc_done = rpc_done;
   service_->SubmitKeyed(session_, fetch.key, fetch.server_time,
                         [this, ref](odserve::ServeOutcome outcome) {
                           OnServed(ref, outcome);
@@ -46,9 +46,7 @@ void Warden::OnServed(FetchRef ref, odserve::ServeOutcome outcome) {
     return;  // The call settled (deadline) before the service answered.
   }
   fetch->serve = outcome;
-  std::function<void(bool)> rpc_done = std::move(fetch->rpc_done);
-  fetch->rpc_done = nullptr;
-  rpc_done(outcome != odserve::ServeOutcome::kRejected);
+  fetch->rpc_done(outcome != odserve::ServeOutcome::kRejected);
 }
 
 void Warden::FinishFetch(FetchRef ref, odnet::RpcStatus status) {
@@ -56,7 +54,6 @@ void Warden::FinishFetch(FetchRef ref, odnet::RpcStatus status) {
   const odserve::ServeOutcome serve = fetch.serve;
   OutcomeFn on_done = std::move(fetch.on_done);
   fetch.on_done = nullptr;
-  fetch.rpc_done = nullptr;
   fetches_.Release(ref);
   if (status == odnet::RpcStatus::kRejected) {
     ++rejected_fetches_;

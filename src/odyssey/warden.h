@@ -84,12 +84,12 @@ class Warden {
     std::string key;
     odsim::SimDuration server_time;
     odserve::ServeOutcome serve = odserve::ServeOutcome::kServed;
-    std::function<void(bool served)> rpc_done;  // The RPC's compute completion.
+    odnet::RpcClient::ComputeDone rpc_done;  // The RPC's compute completion.
     OutcomeFn on_done;
   };
   using FetchRef = odutil::SlotPool<FetchState>::Handle;
 
-  void SubmitFetch(FetchRef ref, std::function<void(bool served)> rpc_done);
+  void SubmitFetch(FetchRef ref, odnet::RpcClient::ComputeDone rpc_done);
   void OnServed(FetchRef ref, odserve::ServeOutcome outcome);
   void FinishFetch(FetchRef ref, odnet::RpcStatus status);
 

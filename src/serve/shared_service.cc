@@ -174,18 +174,16 @@ void SharedService::CacheInsert(const std::string& key) {
 }
 
 void SharedService::RecordWait(odsim::SimTime submitted, odsim::SimTime started) {
-  waits_.push_back((started - submitted).seconds());
+  const double wait = (started - submitted).seconds();
+  waits_.push_back(wait);
+  wait_sum_ += wait;
 }
 
 double SharedService::MeanWaitSeconds() const {
   if (waits_.empty()) {
     return 0.0;
   }
-  double sum = 0.0;
-  for (double w : waits_) {
-    sum += w;
-  }
-  return sum / static_cast<double>(waits_.size());
+  return wait_sum_ / static_cast<double>(waits_.size());
 }
 
 double SharedService::WaitPercentileSeconds(double p) const {
@@ -200,11 +198,10 @@ double SharedService::WaitPercentileSeconds(double p) const {
     --rank;
   }
   rank = std::min(rank, waits_.size() - 1);
-  // Only the element at `rank` needs its sorted position.  A copy, because
-  // MeanWaitSeconds sums in arrival order.
-  std::vector<double> waits = waits_;
-  auto nth = waits.begin() + static_cast<std::ptrdiff_t>(rank);
-  std::nth_element(waits.begin(), nth, waits.end());
+  // Only the element at `rank` needs its sorted position, and nothing
+  // else reads the log's order.
+  auto nth = waits_.begin() + static_cast<std::ptrdiff_t>(rank);
+  std::nth_element(waits_.begin(), nth, waits_.end());
   return *nth;
 }
 

@@ -174,7 +174,10 @@ class SharedService {
   int cache_hits_ = 0;
   int cache_evictions_ = 0;
   int batch_joins_ = 0;
-  std::vector<double> waits_;
+  // Every queue wait, in no particular order: percentile queries reorder
+  // it in place.  wait_sum_ adds the waits in arrival order.
+  mutable std::vector<double> waits_;
+  double wait_sum_ = 0.0;
 
   // LRU cache: list front = most recently used; map points into the list.
   std::list<std::string> cache_lru_;

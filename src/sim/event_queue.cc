@@ -106,6 +106,12 @@ EventHandle EventQueue::Push(SimTime at, EventFn fn) {
   return EventHandle(this, slot, s.gen);
 }
 
+void EventQueue::ArmCpuSlice(SimTime at) {
+  OD_DCHECK(!cpu_armed_);
+  cpu_key_ = HeapEntry{at, next_seq_++ << kSlotBits};
+  cpu_armed_ = true;
+}
+
 PeriodicHandle EventQueue::Every(SimTime now, SimDuration period, EventFn fn) {
   // A subscriber's closure runs in place inside its tick's vector, and a
   // callback that opens a tick may grow ticks_: moving a Tick must keep its
@@ -264,15 +270,26 @@ inline int EventQueue::Front() {
     FreeSlot(slot);
     --cancelled_pending_;
   }
+  int source = heap_.empty() ? kNoSource : kHeapSource;
   if (tick_front_ != kNoSource &&
-      (heap_.empty() || EarlierEntry(ticks_[tick_front_].key, heap_.front()))) {
-    return tick_front_;
+      (source == kNoSource ||
+       EarlierEntry(ticks_[tick_front_].key, heap_.front()))) {
+    source = tick_front_;
   }
-  return heap_.empty() ? kNoSource : kHeapSource;
+  if (cpu_armed_ &&
+      (source == kNoSource || EarlierEntry(cpu_key_, FrontKey(source)))) {
+    source = kCpuSource;
+  }
+  return source;
 }
 
 inline void EventQueue::TakeFront(int source, Popped* out) {
-  out->time = FrontTime(source);
+  out->time = FrontKey(source).time;
+  if (source == kCpuSource) {
+    cpu_armed_ = false;
+    out->tick = kCpuSlice;
+    return;
+  }
   if (source != kHeapSource) {
     out->tick = static_cast<uint32_t>(source);
     return;
@@ -286,7 +303,7 @@ inline void EventQueue::TakeFront(int source, Popped* out) {
 
 bool EventQueue::PopIfAtOrBefore(SimTime deadline, Popped* out) {
   int source = Front();
-  if (source == kNoSource || FrontTime(source) > deadline) {
+  if (source == kNoSource || FrontKey(source).time > deadline) {
     return false;
   }
   TakeFront(source, out);

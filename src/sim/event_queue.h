@@ -19,6 +19,12 @@
 // subscription order, then re-arms the key one period later with a fresh
 // sequence number: the one a lone timer scheduling its next call at the
 // end of its callback would take, so such a timer keeps its order.
+//
+// The simulated CPU's slice end is a third source.  The simulator models
+// one CPU, so at most one slice end is pending: the queue keeps it as one
+// more {time, seq} key beside the ticks, armed with the sequence number a
+// Push at the same moment would take, and the simulator runs it inline.
+// Pop order is the same as if each slice end were a heap event.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -98,10 +104,16 @@ class EventQueue {
   // decrease between calls (the simulator clock guarantees this).
   PeriodicHandle Every(SimTime now, SimDuration period, EventFn fn);
 
+  // Arms the CPU's slice end at `at`, taking the next sequence number as a
+  // Push would.  At most one slice end is armed; popping it disarms it.
+  void ArmCpuSlice(SimTime at);
+
   // The earliest non-cancelled event.  When it is a tick, `tick` names it
   // and `fn` is unset; the tick keeps its key until FireTick has called
-  // every subscriber.
+  // every subscriber.  When it is the CPU's slice end, `tick` is
+  // kCpuSlice and `fn` is unset.
   static constexpr uint32_t kNoTick = UINT32_MAX;
+  static constexpr uint32_t kCpuSlice = UINT32_MAX - 1;
   struct Popped {
     SimTime time;
     EventFn fn;
@@ -177,9 +189,11 @@ class EventQueue {
     uint32_t next_id = 0;
   };
 
-  // Front() result: the heap, a tick index, or nothing pending.
+  // Front() result: the heap, a tick index, the CPU key, or nothing
+  // pending.
   static constexpr int kHeapSource = -1;
   static constexpr int kNoSource = -2;
+  static constexpr int kCpuSource = -3;
 
   uint32_t AllocSlot();
   // Recycles a slot whose entry is gone; bumps gen so stale handles are
@@ -201,12 +215,15 @@ class EventQueue {
   // Removes heap_[0], preserving the heap property.
   void RemoveTop();
 
-  // Source of the earliest live entry (kHeapSource, a tick index, or
-  // kNoSource), dropping cancelled heap entries that reach the top on the
-  // way.
+  // Source of the earliest live entry (kHeapSource, a tick index,
+  // kCpuSource, or kNoSource), dropping cancelled heap entries that reach
+  // the top on the way.
   int Front();
-  SimTime FrontTime(int source) const {
-    return source == kHeapSource ? heap_.front().time : ticks_[source].key.time;
+  const HeapEntry& FrontKey(int source) const {
+    if (source == kHeapSource) {
+      return heap_.front();
+    }
+    return source == kCpuSource ? cpu_key_ : ticks_[source].key;
   }
   // Moves the front of `source` (which must be live) into `out`.
   void TakeFront(int source, Popped* out);
@@ -218,6 +235,9 @@ class EventQueue {
   std::vector<Tick> ticks_;
   // Tick with the earliest key, or kNoSource when no tick is in use.
   int tick_front_ = kNoSource;
+  // The CPU's pending slice end, {time, seq << kSlotBits}, while armed.
+  HeapEntry cpu_key_{};
+  bool cpu_armed_ = false;
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNoSlot;
   size_t cancelled_pending_ = 0;

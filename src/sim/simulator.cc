@@ -31,6 +31,8 @@ void Simulator::RunEvents(SimTime deadline) {
     ++events_processed_;
     if (popped.tick == EventQueue::kNoTick) {
       popped.fn();
+    } else if (popped.tick == EventQueue::kCpuSlice) {
+      EndSlice();
     } else {
       queue_.FireTick(popped.tick, stopped_);
     }
@@ -50,8 +52,8 @@ void Simulator::RunUntil(SimTime deadline) {
 std::vector<ProcessId> Simulator::RunnablePids() const {
   std::vector<ProcessId> pids;
   pids.reserve(run_queue_.size());
-  for (const WorkItem& item : run_queue_) {
-    pids.push_back(item.pid);
+  for (size_t i = 0; i < run_queue_.size(); ++i) {
+    pids.push_back(run_queue_[i].pid);
   }
   return pids;
 }
@@ -95,7 +97,10 @@ void Simulator::Dispatch(SimTime now) {
     return;
   }
   cpu_dispatching_ = true;
-  WorkItem& item = run_queue_.front();
+  // Read before SetContext: an observer may submit work, and a push can
+  // move the queue's items.
+  const WorkItem& item = run_queue_.front();
+  const SimDuration remaining = item.remaining;
   SetContext(now, item.pid, item.proc);
   // The slice is bounded by the quantum in wall time; at reduced clock
   // speed it consumes proportionally less of the item's remaining work.
@@ -107,31 +112,31 @@ void Simulator::Dispatch(SimTime now) {
     max_work_this_quantum = SimDuration::Micros(1);
   }
   SimDuration work =
-      item.remaining < max_work_this_quantum ? item.remaining : max_work_this_quantum;
+      remaining < max_work_this_quantum ? remaining : max_work_this_quantum;
   SimDuration wall = work * (1.0 / cpu_speed_);
   // Minimum-progress invariant: every slice advances the clock and retires
   // work.  wall >= work holds because speed <= 1 and SimTime scaling
   // rounds half-up, so the per-slice wall/work rounding drift is at most
   // half a microsecond and never goes negative.
   OD_CHECK(work > SimDuration::Zero() && wall >= work);
-  slice_end_ = queue_.Push(now + wall, [this, work] {
-    OD_CHECK(!run_queue_.empty());
-    WorkItem& front = run_queue_.front();
-    front.remaining -= work;
-    if (front.remaining <= SimDuration::Zero()) {
-      EventFn done = std::move(front.on_complete);
-      run_queue_.pop_front();
-      if (done) {
-        done();
-      }
-    } else if (run_queue_.size() > 1) {
-      // Round-robin rotation.
-      WorkItem rotated = std::move(run_queue_.front());
-      run_queue_.pop_front();
-      run_queue_.push_back(std::move(rotated));
+  slice_work_ = work;
+  queue_.ArmCpuSlice(now + wall);
+}
+
+void Simulator::EndSlice() {
+  OD_CHECK(!run_queue_.empty());
+  WorkItem& front = run_queue_.front();
+  front.remaining -= slice_work_;
+  if (front.remaining <= SimDuration::Zero()) {
+    WorkItem done = run_queue_.pop_front();
+    if (done.on_complete) {
+      done.on_complete();
     }
-    Dispatch(now_);
-  });
+  } else if (run_queue_.size() > 1) {
+    // Round-robin rotation.
+    run_queue_.push_back(run_queue_.pop_front());
+  }
+  Dispatch(now_);
 }
 
 }  // namespace odsim

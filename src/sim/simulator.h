@@ -9,7 +9,6 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <deque>
 #include <functional>
 #include <type_traits>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "src/sim/process.h"
 #include "src/sim/time.h"
 #include "src/util/check.h"
+#include "src/util/fifo.h"
 
 namespace odsim {
 
@@ -139,7 +139,11 @@ class Simulator {
 
   // Dispatches events up to `deadline` until the queue runs dry or Stop().
   void RunEvents(SimTime deadline);
+  // Starts a slice of the front work item, or idles the CPU.
   void Dispatch(SimTime now);
+  // The pending slice end: retires slice_work_ from the front item, then
+  // completes or rotates it and dispatches the next slice.
+  void EndSlice();
   void SetContext(SimTime now, ProcessId pid, ProcedureId proc);
 
   SimTime now_;
@@ -148,9 +152,9 @@ class Simulator {
   bool stopped_ = false;
   uint64_t events_processed_ = 0;
 
-  std::deque<WorkItem> run_queue_;
+  odutil::Fifo<WorkItem> run_queue_;
   bool cpu_dispatching_ = false;
-  EventHandle slice_end_;
+  SimDuration slice_work_;  // Work the pending slice end retires.
   SimDuration quantum_ = SimDuration::Millis(10);
   double cpu_speed_ = 1.0;
 

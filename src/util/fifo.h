@@ -34,6 +34,14 @@ class Fifo {
     OD_CHECK(i < size());
     return items_[head_ + i];
   }
+  const T& operator[](size_t i) const {
+    OD_CHECK(i < size());
+    return items_[head_ + i];
+  }
+  T& front() {
+    OD_CHECK(!empty());
+    return items_[head_];
+  }
   const T& front() const {
     OD_CHECK(!empty());
     return items_[head_];

@@ -1,17 +1,13 @@
 // Allocation budget of the fetch path.
 //
-// This binary replaces the global operator new with a counting one, so it
-// holds only tests that measure allocations.  A fetch keeps its state in
+// An allocation gate (tests/alloc_count.h).  A fetch keeps its state in
 // one pooled warden record and one pooled RPC record, and every
 // continuation captures a 16-byte handle that std::function stores inline,
 // so once the pools have grown a fetch allocates nothing.
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -24,36 +20,12 @@
 #include "src/power/thinkpad560x.h"
 #include "src/serve/shared_service.h"
 #include "src/sim/simulator.h"
-
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-// Out of line: inlined into a caller, GCC pairs the caller's `new` with
-// the `free` below and reports a mismatched deallocation.
-__attribute__((noinline)) void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-__attribute__((noinline)) void* operator new[](std::size_t size) {
-  return ::operator new(size);
-}
-__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
-__attribute__((noinline)) void operator delete[](void* p) noexcept { std::free(p); }
-__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
+#include "tests/alloc_count.h"
 
 namespace odyssey {
 namespace {
 
-uint64_t Allocations() { return g_allocations.load(std::memory_order_relaxed); }
+using odtest::Allocations;
 
 // One device fetching from a cached shared service, as a fleet device does.
 struct Rig {

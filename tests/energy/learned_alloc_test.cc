@@ -1,18 +1,14 @@
 // Allocation budget of the learned estimator's sample path.
 //
-// This binary replaces the global operator new with a counting one, so it
-// holds only tests that measure allocations.  The probe writes each
+// An allocation gate (tests/alloc_count.h).  The probe writes each
 // sample's window and snapshot features into buffers the estimator owns,
 // and the model updates in place, so once every state combination the
 // machine visits has its excitation record, a sample allocates nothing,
 // whether it trains the model or not.  The drift sentinel's window reuses
 // its storage once it spans its length.
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,36 +17,12 @@
 #include "src/power/component.h"
 #include "src/power/machine.h"
 #include "src/sim/simulator.h"
-
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-// Out of line: inlined into a caller, GCC pairs the caller's `new` with
-// the `free` below and reports a mismatched deallocation.
-__attribute__((noinline)) void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-__attribute__((noinline)) void* operator new[](std::size_t size) {
-  return ::operator new(size);
-}
-__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
-__attribute__((noinline)) void operator delete[](void* p) noexcept { std::free(p); }
-__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
+#include "tests/alloc_count.h"
 
 namespace odenergy {
 namespace {
 
-uint64_t Allocations() { return g_allocations.load(std::memory_order_relaxed); }
+using odtest::Allocations;
 
 // A three-component machine whose states follow a fixed 12-sample cycle,
 // sampled at 10 Hz as the goal director samples its gauge.

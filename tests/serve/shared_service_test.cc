@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +16,7 @@
 #include "src/odyssey/warden.h"
 #include "src/power/thinkpad560x.h"
 #include "src/sim/simulator.h"
+#include "src/util/rng.h"
 
 namespace odserve {
 namespace {
@@ -408,6 +413,82 @@ TEST(SharedServiceOverloadTest, RejectsClampThenRecoveryRestoresFidelity) {
   EXPECT_FALSE(viceroy.overload_clamped());
   EXPECT_EQ(app.current_fidelity(), 2);
   EXPECT_EQ(viceroy.overload_clamps(), 1);  // Same episode, no re-engage.
+}
+
+// -- Queue-wait statistics ---------------------------------------------------
+
+// The service's mean and percentiles against the formulas over the wait log
+// in arrival order: the mean sums the log front to back, and a percentile
+// selects its nearest rank from a copy.  The service keeps a running sum
+// instead and selects in place, which must give the same bits.
+TEST(SharedServiceWaitTest, StatisticsMatchArrivalOrderFormulasBitwise) {
+  odsim::Simulator sim;
+  SharedService server(&sim, "waits");
+  const int session = server.OpenSession("c");
+  odutil::Rng rng(2024);
+  // Each wait in arrival order, recovered from its completion: a default
+  // service starts a request, then completes it its work later.
+  std::vector<double> waits;
+  auto submit = [&](int count) {
+    odsim::SimTime at = sim.Now();
+    for (int i = 0; i < count; ++i) {
+      at += odsim::SimDuration::Micros(rng.UniformInt(0, 30000));
+      const odsim::SimDuration work =
+          odsim::SimDuration::Micros(rng.UniformInt(1, 25000));
+      sim.ScheduleAt(at, [&, work] {
+        const odsim::SimTime submitted = sim.Now();
+        server.Submit(session, work, [&, submitted, work] {
+          waits.push_back((sim.Now() - work - submitted).seconds());
+        });
+      });
+    }
+    sim.Run();
+  };
+  auto mean = [&] {
+    double sum = 0.0;
+    for (double w : waits) {
+      sum += w;
+    }
+    return sum / static_cast<double>(waits.size());
+  };
+  auto percentile = [&](double p) {
+    size_t rank = static_cast<size_t>(
+        std::ceil(p / 100.0 * static_cast<double>(waits.size())));
+    if (rank > 0) {
+      --rank;
+    }
+    rank = std::min(rank, waits.size() - 1);
+    std::vector<double> copy = waits;
+    auto nth = copy.begin() + static_cast<std::ptrdiff_t>(rank);
+    std::nth_element(copy.begin(), nth, copy.end());
+    return *nth;
+  };
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+
+  submit(1500);
+  ASSERT_EQ(waits.size(), 1500u);
+  EXPECT_EQ(bits(server.MeanWaitSeconds()), bits(mean()));
+  // Queries reorder the service's log; in any order and repeated, each
+  // gives the same bits, and the mean does not move.
+  const std::vector<double> ps = {95, 50, 0, 100, 5, 50, 99.9, 95, 0, 37.5};
+  for (double p : ps) {
+    EXPECT_EQ(bits(server.WaitPercentileSeconds(p)), bits(percentile(p))) << p;
+  }
+  for (auto it = ps.rbegin(); it != ps.rend(); ++it) {
+    EXPECT_EQ(bits(server.WaitPercentileSeconds(*it)), bits(percentile(*it)))
+        << *it;
+  }
+  EXPECT_EQ(bits(server.MeanWaitSeconds()), bits(mean()));
+
+  // Waits recorded after the log was reordered.
+  submit(1500);
+  ASSERT_EQ(waits.size(), 3000u);
+  EXPECT_GT(percentile(95), percentile(50));  // The stream queues.
+  EXPECT_EQ(bits(server.MeanWaitSeconds()), bits(mean()));
+  for (double p : ps) {
+    EXPECT_EQ(bits(server.WaitPercentileSeconds(p)), bits(percentile(p))) << p;
+  }
+  EXPECT_EQ(bits(server.MeanWaitSeconds()), bits(mean()));
 }
 
 }  // namespace
