@@ -52,7 +52,6 @@ class MapViewer : public odyssey::AdaptiveApplication {
 
   // Think-time override for the sensitivity analysis (seconds).
   void set_think_seconds(double seconds) { think_seconds_ = seconds; }
-  double think_seconds() const { return think_seconds_; }
 
   // Fetches, renders, and views one map (including think time).  If the
   // fetch fails (retries exhausted, deadline in an outage), the viewer

@@ -46,7 +46,6 @@ class SpeechRecognizer : public odyssey::AdaptiveApplication {
 
   // Execution site; orthogonal to the fidelity ladder.
   void set_mode(SpeechMode mode) { mode_ = mode; }
-  SpeechMode mode() const { return mode_; }
 
   bool reduced_model() const { return fidelity_ == 0; }
 

@@ -50,7 +50,6 @@ class WebBrowser : public odyssey::AdaptiveApplication {
   WebFidelity web_fidelity() const { return static_cast<WebFidelity>(fidelity_); }
 
   void set_think_seconds(double seconds) { think_seconds_ = seconds; }
-  double think_seconds() const { return think_seconds_; }
 
   // Fetches and displays one page (an image plus HTML), then think time.
   // If the image fetch fails (retries exhausted, deadline in an outage),

@@ -67,8 +67,8 @@ Rect SnapToZones(const Rect& window, const ZoneLayout& layout) {
     return best;
   };
 
-  snapped.x = snap_axis(snapped.w, snapped.x, layout.cols());
-  snapped.y = snap_axis(snapped.h, snapped.y, layout.rows());
+  snapped.x = snap_axis(snapped.w, snapped.x, layout.cols_);
+  snapped.y = snap_axis(snapped.h, snapped.y, layout.rows_);
   return snapped;
 }
 

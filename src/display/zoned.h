@@ -25,8 +25,6 @@ class ZoneLayout {
   static ZoneLayout FourZone() { return ZoneLayout(2, 2); }
   static ZoneLayout EightZone() { return ZoneLayout(4, 2); }
 
-  int cols() const { return cols_; }
-  int rows() const { return rows_; }
   int zone_count() const { return cols_ * rows_; }
 
   Rect ZoneRect(int index) const;
@@ -37,6 +35,8 @@ class ZoneLayout {
   double LitFraction(const std::vector<Rect>& windows) const;
 
  private:
+  friend Rect SnapToZones(const Rect& window, const ZoneLayout& layout);
+
   int cols_;
   int rows_;
 };
@@ -59,7 +59,6 @@ class ZonedBacklightController {
   void Disable();
 
   int lit_zones() const { return lit_zones_; }
-  const ZoneLayout& layout() const { return layout_; }
 
  private:
   odpower::Display* display_;

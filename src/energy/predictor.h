@@ -26,7 +26,6 @@ class DemandPredictor {
   double PredictedDemandJoules(double remaining_seconds) const;
 
   double smoothed_watts() const { return smoother_.value(); }
-  bool initialized() const { return smoother_.initialized(); }
 
   void Reset();
 

@@ -24,7 +24,6 @@ class ExponentialSmoother {
   void Update(double sample, double dt_seconds);
 
   double value() const { return value_; }
-  bool initialized() const { return initialized_; }
 
   void Reset();
 

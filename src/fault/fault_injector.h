@@ -52,7 +52,6 @@ class FaultInjector {
   int windows_begun() const { return windows_begun_; }
   // Windows currently open, across all kinds.
   int active_windows() const;
-  bool any_active() const { return active_windows() > 0; }
 
  private:
   static constexpr int kKindCount = 10;

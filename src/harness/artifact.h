@@ -6,7 +6,7 @@
 // means), and named scalar notes.  These files are the machine-readable
 // performance trajectory of the repo and the regression oracle that
 // `odbench diff` (src/harness/artifact_diff.h) and the replay-mode repro
-// tests (src/harness/artifact_replay.h) consume.
+// tests (tests/repro/artifact_replay.h) consume.
 //
 // The document contains *measured content only* — deliberately no wall
 // clock and no job count — so an artifact is byte-identical for any --jobs

@@ -72,7 +72,6 @@ struct ArtifactDiff {
   // Provenance differences (informational; never affect severity).
   std::vector<std::string> provenance_hints;
 
-  bool identical() const { return severity == Severity::kIdentical; }
   // The `odbench diff` exit code for this comparison: 0, 1, or 2.
   int ExitCode() const { return static_cast<int>(severity); }
 };

@@ -314,13 +314,6 @@ JsonValue::Type JsonValue::type() const {
   }
 }
 
-bool JsonValue::AsBool(bool fallback) const {
-  if (const bool* b = std::get_if<bool>(&value_)) {
-    return *b;
-  }
-  return fallback;
-}
-
 double JsonValue::AsDouble(double fallback) const {
   if (const double* d = std::get_if<double>(&value_)) {
     return *d;
@@ -360,29 +353,6 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return nullptr;
 }
 
-JsonValue* JsonValue::Find(const std::string& key) {
-  if (Object* object = std::get_if<Object>(&value_)) {
-    for (auto& [k, v] : *object) {
-      if (k == key) {
-        return &v;
-      }
-    }
-  }
-  return nullptr;
-}
-
-bool JsonValue::Remove(const std::string& key) {
-  if (Object* object = std::get_if<Object>(&value_)) {
-    for (auto it = object->begin(); it != object->end(); ++it) {
-      if (it->first == key) {
-        object->erase(it);
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 double JsonValue::DoubleAt(const std::string& key, double fallback) const {
   const JsonValue* value = Find(key);
   return value != nullptr ? value->AsDouble(fallback) : fallback;
@@ -400,13 +370,6 @@ const JsonValue::Array& JsonValue::array() const {
     return *array;
   }
   return kEmptyArray;
-}
-
-JsonValue::Array& JsonValue::array() {
-  if (!std::holds_alternative<Array>(value_)) {
-    value_ = Array{};  // Coerce, matching Append() on a non-array value.
-  }
-  return std::get<Array>(value_);
 }
 
 const JsonValue::Object& JsonValue::object() const {

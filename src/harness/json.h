@@ -43,17 +43,13 @@ class JsonValue {
   bool is_array() const { return type() == Type::kArray; }
   bool is_object() const { return type() == Type::kObject; }
 
-  bool AsBool(bool fallback = false) const;
   double AsDouble(double fallback = 0.0) const;
   const std::string& AsString() const;  // empty string if not a string
 
   // Object helpers.  Set() appends or replaces; Find() returns nullptr when
-  // the key is absent or this value is not an object; Remove() erases a key
-  // and reports whether it was present.
+  // the key is absent or this value is not an object.
   void Set(const std::string& key, JsonValue value);
   const JsonValue* Find(const std::string& key) const;
-  JsonValue* Find(const std::string& key);
-  bool Remove(const std::string& key);
   // Convenience: Find(key)->AsDouble(fallback) tolerating a missing key.
   double DoubleAt(const std::string& key, double fallback = 0.0) const;
 
@@ -61,7 +57,6 @@ class JsonValue {
   void Append(JsonValue value);
 
   const Array& array() const;    // empty if not an array
-  Array& array();                // coerces to an array, like Append()
   const Object& object() const;  // empty if not an object
 
   // Serializes the value.  indent > 0 pretty-prints with that many spaces

@@ -129,7 +129,6 @@ class ExperimentRegistry {
 
   // All experiments, sorted by name.
   std::vector<const Experiment*> List() const;
-  size_t size() const { return by_name_.size(); }
 
  private:
   ExperimentRegistry() = default;

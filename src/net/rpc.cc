@@ -34,20 +34,24 @@ void RpcClient::set_config(const RpcConfig& config) {
 
 void RpcClient::Call(size_t request_bytes, size_t reply_bytes,
                      odsim::SimDuration server_time, odsim::EventFn on_reply) {
-  Call(
-      request_bytes, reply_bytes,
-      [this, server_time](ComputeDone done) {
-        sim_->Schedule(server_time, [done] { done(/*served=*/true); });
-      },
-      [on_reply = std::move(on_reply)](RpcStatus) {
-        if (on_reply) {
-          on_reply();
-        }
-      });
+  CallRef ref = Begin(request_bytes, reply_bytes,
+                      [this, server_time](ComputeDone done) {
+                        sim_->Schedule(server_time,
+                                       [done] { done(/*served=*/true); });
+                      });
+  calls_[ref].on_reply = std::move(on_reply);
+  Attempt(ref);
 }
 
 void RpcClient::Call(size_t request_bytes, size_t reply_bytes,
                      OutcomeComputeFn compute, StatusFn on_complete) {
+  CallRef ref = Begin(request_bytes, reply_bytes, std::move(compute));
+  calls_[ref].on_complete = std::move(on_complete);
+  Attempt(ref);
+}
+
+RpcClient::CallRef RpcClient::Begin(size_t request_bytes, size_t reply_bytes,
+                                    OutcomeComputeFn compute) {
   // Hold the interface out of standby across the whole exchange: the client
   // must listen for the reply while the server computes.
   pm_->BeginNetworkUse();
@@ -56,7 +60,6 @@ void RpcClient::Call(size_t request_bytes, size_t reply_bytes,
   call.request_bytes = request_bytes;
   call.reply_bytes = reply_bytes;
   call.compute = std::move(compute);
-  call.on_complete = std::move(on_complete);
   call.attempt = 1;
   call.retry_timer = odsim::EventHandle();
   call.deadline_timer = odsim::EventHandle();
@@ -69,7 +72,7 @@ void RpcClient::Call(size_t request_bytes, size_t reply_bytes,
       Settle(ref, RpcStatus::kDeadlineExceeded);
     });
   }
-  Attempt(ref);
+  return ref;
 }
 
 void RpcClient::Settle(CallRef ref, RpcStatus status) {
@@ -81,11 +84,16 @@ void RpcClient::Settle(CallRef ref, RpcStatus status) {
   // destroy a running closure.
   call.compute = nullptr;
   StatusFn done = std::move(call.on_complete);
+  odsim::EventFn reply = std::move(call.on_reply);
   call.on_complete = nullptr;
+  call.on_reply = nullptr;
   calls_.Release(ref);
   pm_->EndNetworkUse();
   if (done) {
     done(status);
+  }
+  if (reply) {
+    reply();
   }
 }
 

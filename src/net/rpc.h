@@ -142,7 +142,11 @@ class RpcClient {
     size_t request_bytes = 0;
     size_t reply_bytes = 0;
     OutcomeComputeFn compute;
+    // The completion: `on_complete` for a compute call, `on_reply` for a
+    // fixed-time one (held here rather than wrapped in a StatusFn, whose
+    // inline buffer it would not fit).
     StatusFn on_complete;
+    odsim::EventFn on_reply;
     int attempt = 1;  // 1-based; attempt - 1 retries have been spent.
     // The current attempt's loss draws, made when each message is sent.
     bool request_lost = false;
@@ -151,6 +155,9 @@ class RpcClient {
     odsim::EventHandle retry_timer;
   };
 
+  // Opens a call's record and arms its deadline; Attempt then sends it.
+  CallRef Begin(size_t request_bytes, size_t reply_bytes,
+                OutcomeComputeFn compute);
   void Attempt(CallRef ref);
   void OnRequestSent(CallRef ref);
   void OnComputed(CallRef ref, bool served);

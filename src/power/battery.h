@@ -49,8 +49,6 @@ class Battery {
   double ResidualJoules(odsim::SimTime now);
   bool Exhausted(odsim::SimTime now) { return ResidualJoules(now) <= 0.0; }
 
-  double nominal_joules() const { return config_.nominal_joules; }
-
   // Total charge drained so far, including internal losses (>= the platform
   // energy actually delivered).
   double drained_joules() const { return drained_joules_; }

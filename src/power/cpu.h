@@ -45,7 +45,6 @@ class Cpu final : public Component, public odsim::CpuObserver {
     speed_ = speed;
     NotifyPowerChanged();
   }
-  double speed() const { return speed_; }
 
   double power() const override {
     if (cpu_state() != CpuState::kBusy) {

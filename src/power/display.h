@@ -36,7 +36,6 @@ class Display : public Component {
   void ClearZoning();
 
   bool zoned() const { return zoned_; }
-  double lit_fraction() const { return lit_fraction_; }
 
   double power() const override;
 

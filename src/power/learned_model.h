@@ -55,10 +55,8 @@ class LearnedModel {
 
   LearnedModel(int dim, const LearnedModelConfig& config = LearnedModelConfig{});
 
-  int dim() const { return dim_; }
-
   // One RLS update: fit `measured_watts` against feature vector `phi`
-  // (length dim()).  Call with the *observed* gauge reading — corrupted or
+  // (length `dim`).  Call with the *observed* gauge reading — corrupted or
   // not; the model must mirror what the gauge says, never the analytic
   // accounting (that independence is what the drift cross-check rests on).
   void Observe(std::span<const double> phi, double measured_watts);
@@ -71,7 +69,6 @@ class LearnedModel {
     return theta_[static_cast<size_t>(index)];
   }
 
-  int samples() const { return samples_; }
   // [0, 1]: sample-count ramp times prediction-error quality.
   double confidence() const;
   // Enough samples and a small normalized prediction error.

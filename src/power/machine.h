@@ -63,9 +63,6 @@ class Machine {
 
   int component_count() const { return static_cast<int>(components_.size()); }
   Component& component(int index) { return *components_[static_cast<size_t>(index)]; }
-  const Component& component(int index) const {
-    return *components_[static_cast<size_t>(index)];
-  }
 
   // Finds a component by name; null if absent.
   Component* FindComponent(const std::string& name);

@@ -48,10 +48,6 @@ class PowerManager {
   // access completes.
   void AccessDisk(odsim::SimDuration duration, odsim::EventFn on_done);
 
-  int queued_disk_accesses() const {
-    return static_cast<int>(disk_queue_.size()) + (disk_busy_ ? 1 : 0);
-  }
-
   // -- Network ---------------------------------------------------------------
 
   // The link layer brackets every RPC/bulk transfer with these.  Nested
@@ -64,9 +60,7 @@ class PowerManager {
   // -- Display ---------------------------------------------------------------
 
   void SetDisplay(DisplayState state) { display_->Set(state); }
-  Display* display() { return display_; }
   WaveLan* wavelan() { return wavelan_; }
-  Disk* disk() { return disk_; }
 
  private:
   WaveLanState NetworkRestingState() const;

@@ -54,7 +54,6 @@ class Laptop {
   Display& display() { return *display_; }
   WaveLan& wavelan() { return *wavelan_; }
   Disk& disk() { return *disk_; }
-  Cpu& cpu() { return *cpu_; }
   EnergyAccounting& accounting() { return accounting_; }
   PowerManager& power_manager() { return power_manager_; }
   const ThinkPad560XSpec& spec() const { return spec_; }

@@ -42,7 +42,6 @@ class Multimeter {
   // trigger (if set) fires, mirroring the HP-IB trigger line.
   void Start();
   void Stop();
-  bool running() const { return running_; }
 
   void set_trigger(TriggerFn trigger) { trigger_ = std::move(trigger); }
 

@@ -35,9 +35,6 @@ class OnlineMonitor : public PowerMonitor {
   void Start() override;
   void Stop() override;
 
-  // Most recent power sample, in watts.
-  double last_watts() const override { return last_watts_; }
-
   // Energy integrated from samples since Start() (measured, not analytic —
   // this is what the adaptation layer believes has been consumed).
   double measured_joules() const override { return measured_joules_; }

@@ -24,9 +24,6 @@ class PowerMonitor {
   virtual void Start() = 0;
   virtual void Stop() = 0;
 
-  // Most recent power reading, in watts.
-  virtual double last_watts() const = 0;
-
   // Energy integrated from readings since Start() — what the adaptation
   // layer believes has been consumed.
   virtual double measured_joules() const = 0;

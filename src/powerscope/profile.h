@@ -37,7 +37,6 @@ class EnergyProfile {
   const std::vector<ProcessProfile>& processes() const { return processes_; }
 
   double TotalJoules() const;
-  double total_seconds() const { return total_seconds_; }
 
   // Energy attributed to a process by name; zero if absent.
   double ProcessJoules(const std::string& name) const;

@@ -26,11 +26,6 @@ void Profiler::Stop() {
   multimeter_.Stop();
 }
 
-void Profiler::ClearSamples() {
-  multimeter_.ClearSamples();
-  monitor_samples_.clear();
-}
-
 double Profiler::SampledJoules() const {
   const std::vector<CurrentSample>& samples = multimeter_.samples();
   double dt = 1.0 / Multimeter::kSampleRateHz;

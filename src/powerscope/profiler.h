@@ -41,7 +41,6 @@ class Profiler {
   double SampledJoules() const;
 
   size_t sample_count() const { return multimeter_.samples().size(); }
-  void ClearSamples();
 
  private:
   odsim::Simulator* sim_;

@@ -39,7 +39,6 @@ class SmartBattery : public PowerMonitor {
 
   void Start() override;
   void Stop() override;
-  double last_watts() const override { return last_watts_; }
   double measured_joules() const override { return measured_joules_; }
   odsim::SimDuration period() const override;
   void set_callback(SampleFn callback) override { callback_ = std::move(callback); }

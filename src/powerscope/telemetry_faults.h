@@ -33,9 +33,6 @@ class TelemetryFaults {
   // Scale every reading (1.0 = nominal); models gauge miscalibration.
   void set_gauge_scale(double scale) { gauge_scale_ = scale; }
 
-  bool dropout() const { return dropout_; }
-  bool stale() const { return stale_; }
-  bool nan() const { return nan_; }
   double gauge_scale() const { return gauge_scale_; }
   bool any_active() const {
     return dropout_ || stale_ || nan_ || gauge_scale_ != 1.0;

@@ -57,8 +57,6 @@ class TraceRecorder : public odpower::MachineObserver {
   // otherwise identical runs that merely stop one event earlier.
   odtrace::PowerTrace Snapshot(odsim::SimTime now) const;
 
-  odsim::SimTime start() const { return start_; }
-
   // odpower::MachineObserver:
   void OnMachinePowerChanged(odsim::SimTime now) override;
 

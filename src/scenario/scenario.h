@@ -84,8 +84,6 @@ struct Scenario {
   std::string name;
   std::vector<ScenarioPhase> phases;
 
-  bool empty() const { return phases.empty(); }
-
   // End of the latest phase window — the scenario's natural length.
   odsim::SimDuration Duration() const;
 

@@ -105,7 +105,6 @@ class SharedService {
   // Cache hits still serve while stalled: the content front-end is not the
   // wedged distiller pipeline.
   void SetStalled(bool stalled);
-  bool stalled() const { return stalled_; }
 
   // -- Introspection ---------------------------------------------------------
 

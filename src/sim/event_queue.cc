@@ -21,10 +21,6 @@ void EventHandle::Cancel() {
   }
 }
 
-bool EventHandle::pending() const {
-  return queue_ != nullptr && queue_->SlotPending(slot_, gen_);
-}
-
 void PeriodicHandle::Cancel() {
   if (queue_ != nullptr) {
     queue_->CancelSubscriber(tick_, gen_, id_);
@@ -235,14 +231,6 @@ void EventQueue::CancelSlot(uint32_t slot, uint32_t gen) {
       cancelled_pending_ * 2 > heap_.size()) {
     Compact();
   }
-}
-
-bool EventQueue::SlotPending(uint32_t slot, uint32_t gen) const {
-  if (slot >= slots_.size()) {
-    return false;
-  }
-  const Slot& s = slots_[slot];
-  return s.gen == gen && !s.cancelled;
 }
 
 void EventQueue::Compact() {

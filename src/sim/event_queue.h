@@ -75,9 +75,6 @@ class EventHandle {
   // Cancels the event if it has not fired yet.  Idempotent.
   void Cancel();
 
-  // True if the event is still scheduled (not fired, not cancelled).
-  bool pending() const;
-
  private:
   friend class EventQueue;
   EventHandle(EventQueue* queue, uint32_t slot, uint32_t gen)
@@ -200,7 +197,6 @@ class EventQueue {
   // inert.
   void FreeSlot(uint32_t slot);
   void CancelSlot(uint32_t slot, uint32_t gen);
-  bool SlotPending(uint32_t slot, uint32_t gen) const;
   // One-pass removal of all cancelled entries followed by a heap rebuild.
   void Compact();
   void CancelSubscriber(uint32_t tick, uint32_t gen, uint32_t id);

@@ -40,7 +40,6 @@ class Simulator {
 
   SimTime Now() const { return now_; }
   ProcessTable& processes() { return processes_; }
-  const ProcessTable& processes() const { return processes_; }
 
   // -- Event scheduling ------------------------------------------------------
 
@@ -67,7 +66,6 @@ class Simulator {
   // Makes Run()/RunUntil() return after the current event completes (inside
   // a tick: after the current subscriber; the next run resumes the tick).
   void Stop() { stopped_ = true; }
-  bool stopped() const { return stopped_; }
 
   // Events dispatched by Run()/RunUntil() since construction: deterministic
   // for a fixed seed, so the simspeed golden and odperf signatures gate it.
@@ -84,10 +82,6 @@ class Simulator {
   // Currently executing context.
   ProcessId current_pid() const { return current_pid_; }
   ProcedureId current_proc() const { return current_proc_; }
-  bool cpu_busy() const { return current_pid_ != kIdlePid; }
-
-  // Number of work items queued or executing.
-  int runnable_count() const { return static_cast<int>(run_queue_.size()); }
 
   // Process ids with queued or executing work, in queue order (duplicates
   // possible).  Lets cooperative applications shed load when competing work

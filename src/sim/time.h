@@ -35,10 +35,6 @@ class SimTime {
 
   constexpr SimTime operator+(SimTime other) const { return SimTime(us_ + other.us_); }
   constexpr SimTime operator-(SimTime other) const { return SimTime(us_ - other.us_); }
-  SimTime& operator+=(SimTime other) {
-    us_ += other.us_;
-    return *this;
-  }
   SimTime& operator-=(SimTime other) {
     us_ -= other.us_;
     return *this;

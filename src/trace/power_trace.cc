@@ -25,8 +25,12 @@ const ComponentTrace* PowerTrace::Find(const std::string& name) const {
   return nullptr;
 }
 
-double SegmentsJoules(const std::vector<TraceSegment>& segments,
-                      int64_t end_us) {
+double PowerTrace::ComponentJoules(const std::string& name) const {
+  const ComponentTrace* component = Find(name);
+  if (component == nullptr) {
+    return 0.0;
+  }
+  const std::vector<TraceSegment>& segments = component->segments;
   // Kahan summation: the cross-check against EnergyAccounting is asserted
   // to 1e-9 J, so the integral must not add its own accumulation error on
   // top of the representation's.
@@ -44,15 +48,10 @@ double SegmentsJoules(const std::vector<TraceSegment>& segments,
   return sum;
 }
 
-double PowerTrace::ComponentJoules(const std::string& name) const {
-  const ComponentTrace* component = Find(name);
-  return component == nullptr ? 0.0 : SegmentsJoules(component->segments, end_us);
-}
-
 double PowerTrace::TotalJoules() const {
   double sum = 0.0;
   for (const ComponentTrace& component : components) {
-    sum += SegmentsJoules(component.segments, end_us);
+    sum += ComponentJoules(component.name);
   }
   return sum;
 }

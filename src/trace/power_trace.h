@@ -68,6 +68,8 @@ struct PowerTrace {
 
   // Integral of the whole-machine draw: sum over every component stream
   // (the "Synergy" stream included, so this equals the machine total).
+  // Streams are summed by name, as Find and the trace diff match them, so
+  // names must be unique.
   double TotalJoules() const;
 
   // Checks the invariants in the header comment.  On failure returns false
@@ -77,10 +79,6 @@ struct PowerTrace {
 
   bool operator==(const PowerTrace&) const = default;
 };
-
-// Integral of one step function over [trace_start_us, end_us], in joules.
-double SegmentsJoules(const std::vector<TraceSegment>& segments,
-                      int64_t end_us);
 
 }  // namespace odtrace
 

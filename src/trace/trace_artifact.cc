@@ -162,10 +162,6 @@ std::optional<TraceArtifact> TraceArtifact::FromJson(const JsonValue& json) {
   return artifact;
 }
 
-bool TraceArtifact::WriteFile(const std::string& path, bool compact) const {
-  return odharness::WriteJsonFile(path, ToJson(), compact);
-}
-
 std::optional<TraceArtifact> TraceArtifact::ReadFile(const std::string& path) {
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
       std::fopen(path.c_str(), "r"), &std::fclose);

@@ -74,8 +74,8 @@ struct TraceArtifact {
   // or version, missing experiment, malformed trace entries).
   static std::optional<TraceArtifact> FromJson(const JsonValue& json);
 
-  // Atomic write / tolerant read, mirroring RunArtifact's file contract.
-  bool WriteFile(const std::string& path, bool compact = false) const;
+  // Tolerant read of a document odharness::WriteJsonFile wrote from
+  // ToJson(), as the run scheduler writes every trace artifact.
   static std::optional<TraceArtifact> ReadFile(const std::string& path);
 };
 

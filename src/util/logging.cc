@@ -31,8 +31,6 @@ LogLevel SetLogLevel(LogLevel level) {
   return previous;
 }
 
-LogLevel GetLogLevel() { return g_level; }
-
 void Log(LogLevel level, const char* fmt, ...) {
   if (level < g_level) {
     return;

@@ -22,7 +22,6 @@ enum class LogLevel {
 
 // Sets the minimum level that will be emitted.  Returns the previous level.
 LogLevel SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 // printf-style logging.  The format string is checked by the compiler.
 void Log(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2, 3)));

@@ -16,7 +16,6 @@ void RunningStats::Add(double x) {
     max_ = std::max(max_, x);
   }
   ++count_;
-  sum_ += x;
   double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);

@@ -24,7 +24,6 @@ class RunningStats {
   double stddev() const;
   double min() const;
   double max() const;
-  double sum() const { return sum_; }
 
  private:
   size_t count_ = 0;
@@ -32,7 +31,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-  double sum_ = 0.0;
 };
 
 // A complete summary of a set of trials.

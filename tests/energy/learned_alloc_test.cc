@@ -61,12 +61,18 @@ TEST(LearnedAllocTest, WarmSampleAllocatesNothing) {
   uint64_t before = Allocations();
   rig.Sample(1200, /*train=*/true);
   EXPECT_EQ(Allocations() - before, 0u);
-  EXPECT_EQ(rig.estimator.model().samples(), 1212);
+  // The training samples reached the model: it converged on them.
+  EXPECT_TRUE(rig.estimator.converged_once());
+  const odpower::LearnedModel& model = rig.estimator.model();
+  const double theta = model.coefficient(0);
+  const double confidence = model.confidence();
 
   before = Allocations();
   rig.Sample(1200, /*train=*/false);
   EXPECT_EQ(Allocations() - before, 0u);
-  EXPECT_EQ(rig.estimator.model().samples(), 1212);
+  // The prediction-only samples did not.
+  EXPECT_EQ(model.coefficient(0), theta);
+  EXPECT_EQ(model.confidence(), confidence);
 }
 
 // The drift sentinel's sliding window at the director's 10 Hz: once the

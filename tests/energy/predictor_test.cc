@@ -46,7 +46,10 @@ TEST(PredictorTest, ResetClearsState) {
   DemandPredictor predictor(0.10);
   predictor.AddSample(10.0, 0.1, 100.0);
   predictor.Reset();
-  EXPECT_FALSE(predictor.initialized());
+  EXPECT_DOUBLE_EQ(predictor.smoothed_watts(), 0.0);
+  // Uninitialized again: the next sample is taken as is.
+  predictor.AddSample(4.0, 0.1, 100.0);
+  EXPECT_DOUBLE_EQ(predictor.smoothed_watts(), 4.0);
 }
 
 TEST(PredictorTest, MinimumHalfLifeClampNearGoal) {

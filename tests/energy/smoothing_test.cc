@@ -9,9 +9,10 @@ namespace {
 
 TEST(SmootherTest, FirstSampleInitializes) {
   ExponentialSmoother s;
-  EXPECT_FALSE(s.initialized());
+  s.set_half_life(1.0);
+  EXPECT_DOUBLE_EQ(s.value(), 0.0);
+  // Taken as is, not blended with the 0.0 held before it.
   s.Update(10.0, 1.0);
-  EXPECT_TRUE(s.initialized());
   EXPECT_DOUBLE_EQ(s.value(), 10.0);
 }
 
@@ -65,8 +66,10 @@ TEST(SmootherTest, ResetClears) {
   ExponentialSmoother s;
   s.Update(5.0, 1.0);
   s.Reset();
-  EXPECT_FALSE(s.initialized());
   EXPECT_DOUBLE_EQ(s.value(), 0.0);
+  // Uninitialized again: the next sample is taken as is.
+  s.Update(7.0, 1.0);
+  EXPECT_DOUBLE_EQ(s.value(), 7.0);
 }
 
 TEST(SmootherTest, ValueStaysBetweenSampleAndOld) {

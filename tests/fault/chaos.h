@@ -7,8 +7,8 @@
 // reproducible from its seed alone — the plan's canonical spelling
 // (plan.ToString()) is the repro command line.
 
-#ifndef SRC_FAULT_CHAOS_H_
-#define SRC_FAULT_CHAOS_H_
+#ifndef TESTS_FAULT_CHAOS_H_
+#define TESTS_FAULT_CHAOS_H_
 
 #include <cstdint>
 
@@ -36,4 +36,4 @@ FaultPlan GenerateScenarioChaosPlan(uint64_t seed, const FaultPlan& environment,
 
 }  // namespace odfault
 
-#endif  // SRC_FAULT_CHAOS_H_
+#endif  // TESTS_FAULT_CHAOS_H_

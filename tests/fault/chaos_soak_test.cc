@@ -30,7 +30,7 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/goal_scenario.h"
-#include "src/fault/chaos.h"
+#include "tests/fault/chaos.h"
 #include "src/fault/fault_plan.h"
 #include "src/scenario/driver.h"
 #include "src/scenario/library.h"

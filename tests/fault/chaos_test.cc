@@ -1,4 +1,4 @@
-#include "src/fault/chaos.h"
+#include "tests/fault/chaos.h"
 
 #include <set>
 #include <string>

@@ -52,13 +52,13 @@ TEST(FaultInjectorTest, OutageWindowTogglesTheLink) {
 
   rig.RunUntil(9.0);
   EXPECT_FALSE(rig.link.outage());
-  EXPECT_FALSE(injector.any_active());
+  EXPECT_EQ(injector.active_windows(), 0);
   rig.RunUntil(12.0);
   EXPECT_TRUE(rig.link.outage());
   EXPECT_EQ(injector.active_windows(), 1);
   rig.RunUntil(16.0);
   EXPECT_FALSE(rig.link.outage());
-  EXPECT_FALSE(injector.any_active());
+  EXPECT_EQ(injector.active_windows(), 0);
   EXPECT_EQ(injector.windows_begun(), 1);
 }
 
@@ -91,10 +91,16 @@ TEST(FaultInjectorTest, StallAndDiskWindowsApplyAndRevert) {
   injector.Arm(Plan("stall@5+10;disk@5+10=8"));
 
   rig.RunUntil(6.0);
-  EXPECT_TRUE(rig.server.stalled());
+  // A request submitted inside the stall waits for the window to close.
+  odsim::SimTime served;
+  rig.server.Submit(rig.server.OpenSession("client"),
+                    odsim::SimDuration::Seconds(1),
+                    [&] { served = rig.sim.Now(); });
   EXPECT_DOUBLE_EQ(rig.laptop->power_manager().disk_latency_scale(), 8.0);
+  rig.RunUntil(14.0);
+  EXPECT_EQ(served, odsim::SimTime::Zero());
   rig.RunUntil(20.0);
-  EXPECT_FALSE(rig.server.stalled());
+  EXPECT_EQ(served, odsim::SimTime::Seconds(16));
   EXPECT_DOUBLE_EQ(rig.laptop->power_manager().disk_latency_scale(), 1.0);
 }
 
@@ -157,7 +163,7 @@ TEST(FaultInjectorTest, RampInterpolatesGaugeScaleAndRestores) {
   // Window end: the scale snaps back to nominal, whatever the tick order.
   rig.RunUntil(31.0);
   EXPECT_DOUBLE_EQ(faults->gauge_scale(), 1.0);
-  EXPECT_FALSE(injector.any_active());
+  EXPECT_EQ(injector.active_windows(), 0);
 }
 
 TEST(FaultInjectorTest, EmptyPlanIsANoop) {
@@ -166,7 +172,7 @@ TEST(FaultInjectorTest, EmptyPlanIsANoop) {
   injector.Arm(FaultPlan{});
   rig.RunUntil(5.0);
   EXPECT_EQ(injector.windows_begun(), 0);
-  EXPECT_FALSE(injector.any_active());
+  EXPECT_EQ(injector.active_windows(), 0);
 }
 
 TEST(FaultInjectorDeathTest, ArmRejectsPlanWithoutItsTarget) {

@@ -19,7 +19,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/fault/chaos.h"
+#include "tests/fault/chaos.h"
 #include "src/fault/fault_plan.h"
 #include "src/scenario/library.h"
 #include "src/scenario/scenario.h"

@@ -66,7 +66,7 @@ TEST(ArtifactDiffTest, IdenticalArtifacts) {
   RunArtifact a = MakeArtifact();
   RunArtifact b = MakeArtifact();
   ArtifactDiff diff = DiffArtifacts(a, b, {});
-  EXPECT_TRUE(diff.identical());
+  EXPECT_EQ(diff.severity, ArtifactDiff::Severity::kIdentical);
   EXPECT_EQ(diff.ExitCode(), 0);
   EXPECT_TRUE(diff.changes.empty());
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/trial_runner.h"
+#include "tests/harness/json_edit.h"
 
 namespace odharness {
 namespace {
@@ -127,7 +128,8 @@ TEST(ArtifactTest, VersionTwoDocumentReadsWithDefaultProvenance) {
   // come back with the default-constructed provenance.
   JsonValue json = MakeArtifact().ToJson();
   json.Set("schema_version", 2);
-  ASSERT_TRUE(json.Remove("provenance"));
+  ASSERT_NE(json.Find("provenance"), nullptr);
+  json = Without(json, "provenance");
   auto restored = RunArtifact::FromJson(json);
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(restored->provenance.git_revision, "unknown");
@@ -159,27 +161,25 @@ TEST(ArtifactTest, FromJsonRejectsUnsupportedVersions) {
 
 TEST(ArtifactTest, FromJsonRejectsMissingExperiment) {
   JsonValue json = MakeArtifact().ToJson();
-  ASSERT_TRUE(json.Remove("experiment"));
-  EXPECT_FALSE(RunArtifact::FromJson(json).has_value());
+  EXPECT_FALSE(RunArtifact::FromJson(Without(json, "experiment")).has_value());
 }
 
 TEST(ArtifactTest, FromJsonRejectsMalformedSets) {
-  {
-    JsonValue json = MakeArtifact().ToJson();
-    json.Find("sets")->array()[0].Remove("summary");
-    EXPECT_FALSE(RunArtifact::FromJson(json).has_value());
-  }
-  {
-    JsonValue json = MakeArtifact().ToJson();
-    json.Find("sets")->array()[0].Remove("label");
-    EXPECT_FALSE(RunArtifact::FromJson(json).has_value());
-  }
-  {
-    // A trial entry that is not an object.
-    JsonValue json = MakeArtifact().ToJson();
-    json.Find("sets")->array()[0].Find("trials")->array()[0] = JsonValue(1.0);
-    EXPECT_FALSE(RunArtifact::FromJson(json).has_value());
-  }
+  const JsonValue good = MakeArtifact().ToJson();
+  const JsonValue& sets = *good.Find("sets");
+  const JsonValue& set = sets.array()[0];
+  auto with_set = [&](const JsonValue& edited) {
+    JsonValue json = good;
+    json.Set("sets", Replaced(sets, 0, edited));
+    return RunArtifact::FromJson(json);
+  };
+  EXPECT_FALSE(with_set(Without(set, "summary")).has_value());
+  EXPECT_FALSE(with_set(Without(set, "label")).has_value());
+  // A trial entry that is not an object.
+  JsonValue bad_trial = set;
+  bad_trial.Set("trials", Replaced(*set.Find("trials"), 0, JsonValue(1.0)));
+  EXPECT_FALSE(with_set(bad_trial).has_value());
+  EXPECT_TRUE(with_set(set).has_value());  // Control.
 }
 
 TEST(ArtifactTest, ReadFileRejectsTruncatedDocument) {

@@ -27,7 +27,7 @@ const char* const kExpected[] = {
 
 TEST(OdbenchRegistrationTest, ExactlyTheExpectedExperimentsRegistered) {
   auto& registry = ExperimentRegistry::Instance();
-  EXPECT_EQ(registry.size(), std::size(kExpected));
+  EXPECT_EQ(registry.List().size(), std::size(kExpected));
   for (const char* name : kExpected) {
     EXPECT_NE(registry.Find(name), nullptr) << name;
   }

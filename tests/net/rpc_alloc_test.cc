@@ -3,8 +3,8 @@
 // An allocation gate (tests/alloc_count.h).  A call keeps its state in one
 // pooled record, and the completion it hands a compute is 16 trivially
 // copyable bytes, so a compute that schedules it for later allocates
-// nothing.  The fixed-server-time Call wraps its outcome-blind completion
-// in a status completion, the one allocation left per call.
+// nothing.  The fixed-server-time Call keeps its outcome-blind completion
+// in that record too, so it allocates nothing either.
 
 #include <cstdint>
 #include <cstdio>
@@ -42,7 +42,7 @@ struct Rig {
   }
 };
 
-TEST(RpcAllocTest, WarmFixedTimeCallAllocatesAtMostOnce) {
+TEST(RpcAllocTest, WarmFixedTimeCallAllocatesNothing) {
   Rig rig;
   // Warm-up: the call pool, the link queue and the event arena grow to two
   // concurrent calls.
@@ -55,7 +55,7 @@ TEST(RpcAllocTest, WarmFixedTimeCallAllocatesAtMostOnce) {
   ASSERT_EQ(rig.completed, 420);
   std::printf("fixed-time call: %.3f allocations per warm call\n",
               static_cast<double>(allocations) / 400.0);
-  EXPECT_LE(allocations, 400u);
+  EXPECT_EQ(allocations, 0u);
 }
 
 // A compute that holds its completion across a server delay, as a warden's

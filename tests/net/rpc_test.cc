@@ -41,7 +41,7 @@ TEST(RpcTest, ClientIdlesDuringServerTime) {
   Rig rig;
   rig.rpc.Call(1000, 1000, odsim::SimDuration::Seconds(2), nullptr);
   rig.sim.RunUntil(odsim::SimTime::Seconds(1.0));
-  EXPECT_FALSE(rig.sim.cpu_busy());
+  EXPECT_EQ(rig.sim.current_pid(), odsim::kIdlePid);
 }
 
 TEST(RpcTest, ZeroServerTime) {

@@ -82,12 +82,21 @@ TEST(LearnedModelTest, CoefficientsClampToPhysicalBounds) {
 
 TEST(LearnedModelTest, NonFiniteInputsAreSkippedNotFolded) {
   LearnedModel model(2);
-  model.Observe(std::array{1.0, 0.5}, 8.0);
-  int samples = model.samples();
+  for (int i = 0; i < 10; ++i) {
+    model.Observe(std::array{1.0, 0.5}, 8.0);
+  }
+  // The sample count shows in the confidence ramp (10 of 120 samples, so
+  // a counted sample would raise it); the fit shows in theta.
+  const double confidence = model.confidence();
+  ASSERT_GT(confidence, 0.0);
+  const double theta0 = model.coefficient(0);
+  const double theta1 = model.coefficient(1);
   model.Observe(std::array{1.0, 0.5}, std::nan(""));
   model.Observe(std::array{1.0, std::nan("")}, 8.0);
   model.Observe(std::array{1.0, 0.5}, std::numeric_limits<double>::infinity());
-  EXPECT_EQ(model.samples(), samples);
+  EXPECT_EQ(model.confidence(), confidence);
+  EXPECT_EQ(model.coefficient(0), theta0);
+  EXPECT_EQ(model.coefficient(1), theta1);
   EXPECT_EQ(model.skipped_updates(), 3);
 }
 

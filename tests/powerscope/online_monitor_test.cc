@@ -25,9 +25,11 @@ struct Rig {
 TEST(OnlineMonitorTest, TracksLastSample) {
   Rig rig;
   OnlineMonitor monitor(&rig.sim, &rig.machine, rig.Noiseless(), 1);
+  double last_watts = 0.0;
+  monitor.set_callback([&](odsim::SimTime, double watts) { last_watts = watts; });
   monitor.Start();
   rig.sim.RunUntil(odsim::SimTime::Seconds(1));
-  EXPECT_DOUBLE_EQ(monitor.last_watts(), 10.0);
+  EXPECT_DOUBLE_EQ(last_watts, 10.0);
 }
 
 TEST(OnlineMonitorTest, IntegratesMeasuredEnergy) {

@@ -1,5 +1,8 @@
 #include "src/powerscope/profiler.h"
 
+#include <cstdio>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/power/thinkpad560x.h"
@@ -153,7 +156,15 @@ TEST(ProfilerTest, TotalsConsistency) {
   // Correlate() uses exact inter-sample spacing; SampledJoules() assumes the
   // nominal period throughout, so the two differ only at stream edges.
   EXPECT_NEAR(profile.TotalJoules(), profiler.SampledJoules(), 0.01);
-  EXPECT_NEAR(profile.total_seconds(), 2.0, 1e-9);
+  // The profile spans the 2 s run: the Total row averages over 2 s.
+  const std::string text = profile.Format();
+  const size_t row = text.find("\nTotal ");
+  ASSERT_NE(row, std::string::npos);
+  double cpu_seconds = 0.0, joules = 0.0, watts = 0.0;
+  ASSERT_EQ(std::sscanf(text.c_str() + row + 6, "%lf %lf %lf", &cpu_seconds,
+                        &joules, &watts),
+            3);
+  EXPECT_NEAR(watts, joules / 2.0, 0.01);
 }
 
 }  // namespace

@@ -36,9 +36,10 @@ TEST(SmartBatteryTest, OverheadDrawsRealPower) {
 TEST(SmartBatteryTest, ReadingsAreQuantized) {
   Rig rig;
   SmartBattery monitor(&rig.sim, &rig.machine, rig.Clean(), 1);
+  double reading = 0.0;
+  monitor.set_callback([&](odsim::SimTime, double watts) { reading = watts; });
   monitor.Start();
   rig.sim.RunUntil(odsim::SimTime::Seconds(3));
-  double reading = monitor.last_watts();
   EXPECT_NEAR(std::remainder(reading, 0.1), 0.0, 1e-9);
   // 10.01 W true draw rounds to 10.0 with the gauge's 0.1 W quantum.
   EXPECT_DOUBLE_EQ(reading, 10.0);
@@ -68,9 +69,12 @@ TEST(SmartBatteryTest, ImplementsPowerMonitorInterface) {
   Rig rig;
   SmartBattery smart(&rig.sim, &rig.machine, rig.Clean(), 1);
   PowerMonitor* monitor = &smart;
+  double last_watts = 0.0;
+  monitor->set_callback(
+      [&](odsim::SimTime, double watts) { last_watts = watts; });
   monitor->Start();
   rig.sim.RunUntil(odsim::SimTime::Seconds(2));
-  EXPECT_GT(monitor->last_watts(), 9.0);
+  EXPECT_GT(last_watts, 9.0);
   monitor->Stop();
 }
 

@@ -1,4 +1,4 @@
-#include "src/harness/artifact_replay.h"
+#include "tests/repro/artifact_replay.h"
 
 #include <cstdio>
 #include <cstdlib>

@@ -19,8 +19,8 @@
 // Artifacts load lazily and are cached per experiment, so a test binary
 // touching fig06 fifty times parses fig06_video.json once.
 
-#ifndef SRC_HARNESS_ARTIFACT_REPLAY_H_
-#define SRC_HARNESS_ARTIFACT_REPLAY_H_
+#ifndef TESTS_REPRO_ARTIFACT_REPLAY_H_
+#define TESTS_REPRO_ARTIFACT_REPLAY_H_
 
 #include <map>
 #include <mutex>
@@ -79,4 +79,4 @@ class ArtifactReplay {
 
 }  // namespace odharness
 
-#endif  // SRC_HARNESS_ARTIFACT_REPLAY_H_
+#endif  // TESTS_REPRO_ARTIFACT_REPLAY_H_

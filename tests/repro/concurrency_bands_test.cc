@@ -14,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/experiments.h"
-#include "src/harness/artifact_replay.h"
+#include "tests/repro/artifact_replay.h"
 
 namespace odapps {
 namespace {

@@ -18,7 +18,7 @@
 #include <optional>
 #include <utility>
 
-#include "src/harness/artifact_replay.h"
+#include "tests/repro/artifact_replay.h"
 
 namespace odrepro {
 

@@ -76,7 +76,7 @@ TEST(ScenarioGrammar, NewlinesAndCommentsSeparatePhases) {
 
 TEST(ScenarioGrammar, EmptySpecIsEmptyScenario) {
   Scenario scenario = MustParse("");
-  EXPECT_TRUE(scenario.empty());
+  EXPECT_TRUE(scenario.phases.empty());
   EXPECT_EQ(scenario.ToString(), "");
   EXPECT_EQ(scenario.Duration(), odsim::SimDuration::Zero());
   MustParse("  # nothing but a comment\n");
@@ -160,7 +160,7 @@ TEST(ScenarioGrammar, RenderingIsExact) {
 TEST(ScenarioGrammar, NamedEmptyScenarioReplays) {
   Scenario scenario = MustParse("day:");
   EXPECT_EQ(scenario.name, "day");
-  EXPECT_TRUE(scenario.empty());
+  EXPECT_TRUE(scenario.phases.empty());
   EXPECT_EQ(scenario.ToString(), "day:");
   EXPECT_EQ(MustParse(scenario.ToString()).name, "day");
 }
@@ -212,7 +212,7 @@ TEST(ScenarioLibrary, SixNamedScenariosRoundTrip) {
       "video_evening", "office_mix",    "coffee_shop"};
   EXPECT_EQ(odscenario::ScenarioNames(), expected);
   for (const Scenario& scenario : library) {
-    EXPECT_FALSE(scenario.empty()) << scenario.name;
+    EXPECT_FALSE(scenario.phases.empty()) << scenario.name;
     EXPECT_GT(scenario.Duration(), odsim::SimDuration::Zero())
         << scenario.name;
     EXPECT_EQ(odscenario::FindScenario(scenario.name), &scenario);

@@ -432,7 +432,7 @@ TEST(SharedServiceWaitTest, StatisticsMatchArrivalOrderFormulasBitwise) {
   auto submit = [&](int count) {
     odsim::SimTime at = sim.Now();
     for (int i = 0; i < count; ++i) {
-      at += odsim::SimDuration::Micros(rng.UniformInt(0, 30000));
+      at = at + odsim::SimDuration::Micros(rng.UniformInt(0, 30000));
       const odsim::SimDuration work =
           odsim::SimDuration::Micros(rng.UniformInt(1, 25000));
       sim.ScheduleAt(at, [&, work] {

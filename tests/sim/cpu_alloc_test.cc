@@ -51,7 +51,7 @@ TEST(CpuAllocTest, WarmRoundRobinAllocatesNothing) {
   EXPECT_EQ(allocations, 0u);
   // Each process completes one item per 96 ms (25 + 32 + 39): ~1,875 in all.
   EXPECT_GT(rr.completed - completed, 1800);
-  EXPECT_EQ(rr.sim.runnable_count(), 3);
+  EXPECT_EQ(rr.sim.RunnablePids().size(), 3u);
 }
 
 }  // namespace

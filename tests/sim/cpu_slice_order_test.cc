@@ -134,7 +134,7 @@ TEST(CpuSliceOrderTest, StopFromCompletionLeavesNextSliceArmed) {
   EXPECT_EQ(rig.sim.Now(), SimTime::Millis(10));
   EXPECT_EQ(rig.sim.events_processed(), 1u);
   EXPECT_EQ(rig.sim.current_pid(), rig.b);
-  EXPECT_EQ(rig.sim.runnable_count(), 1);
+  EXPECT_EQ(rig.sim.RunnablePids(), std::vector<ProcessId>{rig.b});
   EXPECT_EQ(rig.log, (Log{"0 run a", "10 done a", "10 run b"}));
 
   rig.sim.Run();

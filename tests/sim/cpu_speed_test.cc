@@ -81,7 +81,7 @@ TEST(CpuSpeedTest, LaptopScalesPowerCubically) {
   laptop->SetCpuSpeed(0.5);
   sim.SubmitWork(pid, proc, SimDuration::Seconds(10), nullptr);
   // Busy draw at half speed: 6.0 W * 0.5^3 = 0.75 W.
-  EXPECT_NEAR(laptop->cpu().power(), 0.75, 1e-9);
+  EXPECT_NEAR(laptop->machine().FindComponent("CPU")->power(), 0.75, 1e-9);
 }
 
 TEST(CpuSpeedTest, RaceToIdleBeatsSlowdownForCpuBoundWork) {

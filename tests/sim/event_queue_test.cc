@@ -86,20 +86,24 @@ TEST(EventQueueTest, CancelAfterFireIsNoop) {
   EXPECT_TRUE(Drained(q));
 }
 
+// An event is pending until it pops or is cancelled: a cancelled one never
+// pops, and cancelling a fired or default handle leaves the queue alone.
 TEST(EventQueueTest, PendingLifecycle) {
   EventQueue q;
   EventHandle handle = q.Push(SimTime::Seconds(1), [] {});
-  EXPECT_TRUE(handle.pending());
   handle.Cancel();
-  EXPECT_FALSE(handle.pending());
+  EXPECT_TRUE(Drained(q));
 
   EventHandle fired = q.Push(SimTime::Seconds(2), [] {});
   EventQueue::Popped popped;
   ASSERT_TRUE(PopNext(q, &popped));
-  EXPECT_FALSE(fired.pending());
-
+  EXPECT_EQ(popped.time, SimTime::Seconds(2));
+  q.Push(SimTime::Seconds(3), [] {});
+  fired.Cancel();
   EventHandle empty;
-  EXPECT_FALSE(empty.pending());
+  empty.Cancel();
+  ASSERT_TRUE(PopNext(q, &popped));
+  EXPECT_EQ(popped.time, SimTime::Seconds(3));
 }
 
 TEST(EventQueueTest, AllCancelledMeansEmpty) {
@@ -117,7 +121,6 @@ TEST(EventQueueTest, CopiedHandleCancelsSameEvent) {
   EventHandle a = q.Push(SimTime::Seconds(1), [&] { fired = true; });
   EventHandle b = a;
   b.Cancel();
-  EXPECT_FALSE(a.pending());
   EXPECT_TRUE(Drained(q));
   EXPECT_FALSE(fired);
 }
@@ -140,11 +143,9 @@ TEST(EventQueueTest, StaleHandleAfterSlotReuseIsInert) {
   EventQueue::Popped popped;
   ASSERT_TRUE(PopNext(q, &popped));  // Fires (and recycles) the first slot.
   // The recycled slot is reused by the next push; the stale handle must
-  // neither report pending nor cancel the new occupant.
-  EventHandle second = q.Push(SimTime::Seconds(2), [&] { second_fired = true; });
-  EXPECT_FALSE(first.pending());
+  // not cancel the new occupant.
+  q.Push(SimTime::Seconds(2), [&] { second_fired = true; });
   first.Cancel();
-  EXPECT_TRUE(second.pending());
   ASSERT_TRUE(PopNext(q, &popped));
   popped.fn();
   EXPECT_TRUE(second_fired);

@@ -95,8 +95,8 @@ TEST_P(SchedulerPropertyTest, WorkConservingAndComplete) {
   }
 
   // The CPU ends idle.
-  EXPECT_FALSE(sim.cpu_busy());
-  EXPECT_EQ(sim.runnable_count(), 0);
+  EXPECT_EQ(sim.current_pid(), kIdlePid);
+  EXPECT_TRUE(sim.RunnablePids().empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerPropertyTest,

@@ -111,13 +111,11 @@ TEST(SimulatorCpuTest, ContextReflectsRunningWork) {
   Simulator sim;
   ProcessId pid = sim.processes().RegisterProcess("worker");
   ProcedureId proc = sim.processes().RegisterProcedure("_work");
-  EXPECT_FALSE(sim.cpu_busy());
+  EXPECT_EQ(sim.current_pid(), kIdlePid);
   sim.SubmitWork(pid, proc, SimDuration::Seconds(1), nullptr);
-  EXPECT_TRUE(sim.cpu_busy());
   EXPECT_EQ(sim.current_pid(), pid);
   EXPECT_EQ(sim.current_proc(), proc);
   sim.Run();
-  EXPECT_FALSE(sim.cpu_busy());
   EXPECT_EQ(sim.current_pid(), kIdlePid);
 }
 

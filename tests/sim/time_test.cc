@@ -34,7 +34,7 @@ TEST(SimTimeTest, Arithmetic) {
   EXPECT_EQ(t, SimTime::Seconds(3));
   t -= SimTime::Seconds(1);
   EXPECT_EQ(t, SimTime::Seconds(2));
-  t += SimTime::Millis(500);
+  t = t + SimTime::Millis(500);
   EXPECT_EQ(t, SimTime::Seconds(2.5));
   EXPECT_EQ(SimTime::Seconds(3) - SimTime::Seconds(1), SimTime::Seconds(2));
 }

@@ -8,6 +8,7 @@
 
 #include "src/harness/json.h"
 #include "src/harness/registry.h"
+#include "tests/harness/json_edit.h"
 
 namespace odtrace {
 namespace {
@@ -63,7 +64,8 @@ TEST(TraceArtifactTest, FileRoundTrip) {
       (std::filesystem::temp_directory_path() / "odtrace_artifact_test.json")
           .string();
   TraceArtifact artifact = MakeArtifact();
-  ASSERT_TRUE(artifact.WriteFile(path, /*compact=*/true));
+  // Written as the run scheduler writes every trace artifact.
+  ASSERT_TRUE(odharness::WriteJsonFile(path, artifact.ToJson(), /*compact=*/true));
   auto restored = TraceArtifact::ReadFile(path);
   std::remove(path.c_str());
   ASSERT_TRUE(restored.has_value());
@@ -86,27 +88,25 @@ TEST(TraceArtifactTest, RejectsForeignDocuments) {
   wrong_version.Set("schema_version", 2);
   EXPECT_FALSE(TraceArtifact::FromJson(wrong_version).has_value());
 
-  JsonValue no_experiment = good;
-  no_experiment.Remove("experiment");
-  EXPECT_FALSE(TraceArtifact::FromJson(no_experiment).has_value());
-
-  JsonValue no_traces = good;
-  no_traces.Remove("traces");
-  EXPECT_FALSE(TraceArtifact::FromJson(no_traces).has_value());
+  EXPECT_FALSE(TraceArtifact::FromJson(odharness::Without(good, "experiment"))
+                   .has_value());
+  EXPECT_FALSE(
+      TraceArtifact::FromJson(odharness::Without(good, "traces")).has_value());
 
   EXPECT_FALSE(TraceArtifact::FromJson(JsonValue("not an object")).has_value());
 }
 
 TEST(TraceArtifactTest, RejectsMalformedSegmentDeltas) {
   auto with_delta = [](const JsonValue& delta) {
+    using odharness::Replaced;
     JsonValue json = MakeArtifact().ToJson();
-    JsonValue& segment = json.Find("traces")
-                             ->array()[0]
-                             .Find("components")
-                             ->array()[0]
-                             .Find("segments")
-                             ->array()[1];
-    segment.array()[0] = delta;
+    JsonValue trace = json.Find("traces")->array()[0];
+    JsonValue component = trace.Find("components")->array()[0];
+    const JsonValue& segments = *component.Find("segments");
+    component.Set("segments", Replaced(segments, 1,
+                                       Replaced(segments.array()[1], 0, delta)));
+    trace.Set("components", Replaced(*trace.Find("components"), 0, component));
+    json.Set("traces", Replaced(*json.Find("traces"), 0, trace));
     return TraceArtifact::FromJson(json);
   };
   EXPECT_FALSE(with_delta(JsonValue(-5.0)).has_value());   // Time reversal.

@@ -5,9 +5,10 @@
 namespace odutil {
 namespace {
 
+// Sets a level for one test and restores the one before it.
 class LogLevelGuard {
  public:
-  LogLevelGuard() : previous_(GetLogLevel()) {}
+  explicit LogLevelGuard(LogLevel level) : previous_(SetLogLevel(level)) {}
   ~LogLevelGuard() { SetLogLevel(previous_); }
 
  private:
@@ -15,10 +16,9 @@ class LogLevelGuard {
 };
 
 TEST(LoggingTest, SetReturnsPrevious) {
-  LogLevelGuard guard;
-  SetLogLevel(LogLevel::kInfo);
+  LogLevelGuard guard(LogLevel::kInfo);
   EXPECT_EQ(SetLogLevel(LogLevel::kError), LogLevel::kInfo);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
+  EXPECT_EQ(SetLogLevel(LogLevel::kError), LogLevel::kError);
 }
 
 TEST(LoggingTest, LevelsAreOrdered) {
@@ -29,16 +29,14 @@ TEST(LoggingTest, LevelsAreOrdered) {
 }
 
 TEST(LoggingTest, FilteredMessagesDoNotReachStderr) {
-  LogLevelGuard guard;
-  SetLogLevel(LogLevel::kNone);
+  LogLevelGuard guard(LogLevel::kNone);
   testing::internal::CaptureStderr();
   OD_LOG_ERROR("should be filtered %d", 42);
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 TEST(LoggingTest, EmittedMessagesCarryLevelAndText) {
-  LogLevelGuard guard;
-  SetLogLevel(LogLevel::kDebug);
+  LogLevelGuard guard(LogLevel::kDebug);
   testing::internal::CaptureStderr();
   OD_LOG_WARN("supply low: %.1f J", 12.5);
   std::string out = testing::internal::GetCapturedStderr();
@@ -47,8 +45,7 @@ TEST(LoggingTest, EmittedMessagesCarryLevelAndText) {
 }
 
 TEST(LoggingTest, ThresholdIsInclusive) {
-  LogLevelGuard guard;
-  SetLogLevel(LogLevel::kWarn);
+  LogLevelGuard guard(LogLevel::kWarn);
   testing::internal::CaptureStderr();
   OD_LOG_INFO("below");
   OD_LOG_WARN("at");

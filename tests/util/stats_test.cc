@@ -35,7 +35,7 @@ TEST(RunningStatsTest, MatchesDirectComputation) {
   EXPECT_NEAR(stats.variance(), 32.0 / 7.0, 1e-12);
   EXPECT_DOUBLE_EQ(stats.min(), 2.0);
   EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-  EXPECT_DOUBLE_EQ(stats.sum(), 40.0);
+  EXPECT_DOUBLE_EQ(stats.mean() * static_cast<double>(stats.count()), 40.0);
 }
 
 TEST(RunningStatsTest, NegativeValues) {

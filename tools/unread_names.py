@@ -1,35 +1,31 @@
 #!/usr/bin/env python3
-"""Lists declarations in src/**/*.h that no non-test code reads or sets.
+"""Lists options in src/**/*.h that no non-test code sets.
 
-usage: python3 tools/unread_names.py [--fields] [--check ALLOWLIST]
+usage: python3 tools/unread_names.py [--check ALLOWLIST]
 
 Run from the repository root.  Non-test code is every C++ file under src/,
 bench/, tools/, odperf/ or examples/; comments and string literals are
 ignored.
 
-By default the script lists functions.  A function counts as read when its
-name appears, as a whole word, in non-test code anywhere other than its own
-declarations and definitions.  Names are matched bare, so a name that
-several classes share counts as read when any of them is read: the list
-can miss an unread function, but every name it prints is unread.
+An option is a non-static data member of a `struct *Config` /
+`struct *Options` (nested ones included).  It counts as set when non-test
+code writes it: the member name after `.` or `->` followed by an
+assignment (`x.f = v`, `x->f += v`, a designated `{.f = v}`), or anywhere
+in such a chain (`x.f.g = v` writes f and g).  Names are matched bare, so a
+write to any member called `f` counts for every option called `f`, and the
+list can miss an option nothing sets.  Aggregate initialisation by position
+(`Config{a, b}`) and writes through a reference to the member are not seen,
+so such a write lists its option although it is set: write designated
+initialisers.  Functions that only tests call are found by
+tools/unreached_functions.py, from the linker; data members are not
+symbols, so options are matched here by name.
 
-With --fields it lists options instead: the non-static data members of
-each `struct *Config` / `struct *Options` (nested ones included) that no
-non-test code writes.  A write is the member name after `.` or `->`
-followed by an assignment (`x.f = v`, `x->f += v`, a designated
-`{.f = v}`), or anywhere in such a chain (`x.f.g = v` writes f and g).
-Names are matched bare here too, so a write to any member called `f`
-counts for every option called `f`, and the list can miss an option
-nothing sets.  Aggregate initialisation by position (`Config{a, b}`) and
-writes through a reference to the member are not seen, so such a write
-lists its option although it is set: write designated initialisers.
-
-Without --check, prints one `Class::name` (or `name` for a free function)
-per line, sorted.  With --check, compares that list with ALLOWLIST (one
-name per line, `#` comments allowed) and exits 1 if a name is missing from
-the allowlist (new code that only tests read or set: delete it, or use
-it) or an allowlisted name is no longer found (it was deleted or gained a
-reader: drop the line), so the allowlist can only shrink.
+Without --check, prints one `Struct::name` per line, sorted.  With --check,
+compares that list with ALLOWLIST (one name per line, `#` comments allowed)
+and exits 1 if a name is missing from the allowlist (a new option that only
+tests set: make it a named constant in the .cc that uses it) or an
+allowlisted name is no longer found (it was deleted or gained a writer:
+drop the line), so the allowlist can only shrink.
 """
 
 import argparse
@@ -40,16 +36,6 @@ import sys
 NON_TEST_DIRS = ("src", "bench", "tools", "odperf", "examples")
 CXX_SUFFIXES = (".h", ".cc", ".cpp")
 
-# A declaration head: specifiers and a return type, then the (possibly
-# qualified) name and its opening parenthesis.  Matched at the start of a
-# statement outside function bodies, so calls never match.
-DECL = re.compile(
-    r"^(?:template\s*<[^;{}]*?>\s*)?"
-    r"(?:[\w:]+(?:\s*<[^;{}]*?>)?[\s*&]+)+"
-    r"((?:\w+::)*)(\w+)\s*\(")
-KEYWORDS = {"return", "else", "new", "delete", "case", "throw", "sizeof",
-            "alignof", "decltype", "static_assert", "operator", "using",
-            "typedef", "goto", "co_return", "co_yield"}
 TYPE_HEAD = re.compile(r"\b(class|struct|union|enum|namespace)\b\s*(\w*)")
 ACCESS = re.compile(r"^\s*(?:public|private|protected)\s*:(?!:)")
 WORD = re.compile(r"[A-Za-z_]\w*")
@@ -150,36 +136,6 @@ def source_files(root):
                     yield os.path.join(dirpath, name)
 
 
-def unread_names(root):
-    declared = {}   # bare name -> set of qualified names
-    own_uses = {}   # bare name -> occurrences inside its own heads
-    words = {}      # bare name -> occurrences anywhere
-    for path in source_files(root):
-        with open(path, encoding="utf-8") as f:
-            text = strip_comments_and_strings(f.read())
-        # Macro bodies read names too; only the heads skip directives.
-        for w in WORD.findall(text):
-            words[w] = words.get(w, 0) + 1
-        text = strip_preprocessor(text)
-        is_header = path.endswith(".h") and os.path.relpath(
-            path, root).startswith("src" + os.sep)
-        for classes, head in heads(text):
-            if classes is None:
-                continue
-            scope = classes[-1] if classes else ""
-            m = DECL.match(head)
-            if not m or m.group(2) in KEYWORDS:
-                continue
-            qualifier, name = m.group(1), m.group(2)
-            own_uses[name] = own_uses.get(name, 0) + 1
-            if is_header and not qualifier:
-                declared.setdefault(name, set()).add(
-                    f"{scope}::{name}" if scope else name)
-    return sorted(q for name, quals in declared.items()
-                  if words.get(name, 0) <= own_uses.get(name, 0)
-                  for q in quals)
-
-
 def field_name(head):
     """The member a data-member declaration head declares, or None."""
     decl = head.split("=", 1)[0].strip()
@@ -225,11 +181,9 @@ def read_allowlist(path):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--fields", action="store_true",
-                        help="list options nothing sets, not functions")
     parser.add_argument("--check", metavar="ALLOWLIST")
     args = parser.parse_args()
-    found = (unset_fields if args.fields else unread_names)(os.getcwd())
+    found = unset_fields(os.getcwd())
     if args.check is None:
         print("\n".join(found))
         return 0
@@ -237,9 +191,9 @@ def main():
     new = sorted(set(found) - set(allowed))
     gone = sorted(set(allowed) - set(found))
     for name in new:
-        print(f"unread outside tests, not in {args.check}: {name}")
+        print(f"set only by tests, not in {args.check}: {name}")
     for name in gone:
-        print(f"in {args.check} but no longer unread (drop the line): {name}")
+        print(f"in {args.check} but set or deleted (drop the line): {name}")
     return 1 if new or gone else 0
 
 
