@@ -17,13 +17,14 @@
 // apply to a fleet (they wedge the shared service), so any other kind is
 // rejected with exit 64.
 
+#include <array>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/apps/fleet.h"
 #include "src/fault/fault_plan.h"
+#include "src/harness/sweep_runner.h"
 #include "src/util/table.h"
 
 namespace {
@@ -98,7 +99,7 @@ ODBENCH_EXPERIMENT(fleet_sweep,
     return 64;
   }
 
-  const std::vector<int> kClients = {1, 32, 256, 1000, 10000};
+  constexpr std::array<int, 5> kClients = {1, 32, 256, 1000, 10000};
 
   odutil::Table table(
       "Fleet sweep: 600 s battery goal, one shared distillation service "
@@ -106,19 +107,28 @@ ODBENCH_EXPERIMENT(fleet_sweep,
   table.SetHeader({"Clients", "Cache", "Attain", "Fid", "Util", "p50 wait",
                    "p95 wait", "Hit rate", "Rejects"});
 
-  // attainment[cache_on][client index]
-  double attainment[2][8] = {};
+  // The ten cells run concurrently under --jobs; the sweep records them in
+  // submission order (cache off, then on; clients ascending), so labels,
+  // seeds and the artifact are those of a serial run.
+  odharness::Sweep sweep(ctx);
+  size_t cell[2][kClients.size()] = {};  // [cache_on][client index]
   for (int cache = 0; cache <= 1; ++cache) {
     for (size_t i = 0; i < kClients.size(); ++i) {
-      int n = kClients[i];
-      bool cache_on = cache == 1;
-      odharness::TrialSet set = ctx.RunTrials(
+      const int n = kClients[i];
+      const bool cache_on = cache == 1;
+      cell[cache][i] = sweep.AddTrials(
           CellLabel(n, cache_on), 1, 91000 + 10 * i + cache,
-          [&, n, cache_on](uint64_t seed) {
+          [&plan, n, cache_on](uint64_t seed) {
             return FleetCell(n, cache_on, plan, seed);
           });
-      attainment[cache][i] = set.summary.mean;
-      table.AddRow({std::to_string(n), cache_on ? "on" : "off",
+    }
+  }
+  sweep.Run();
+
+  for (int cache = 0; cache <= 1; ++cache) {
+    for (size_t i = 0; i < kClients.size(); ++i) {
+      const odharness::TrialSet& set = sweep.Set(cell[cache][i]);
+      table.AddRow({std::to_string(kClients[i]), cache == 1 ? "on" : "off",
                     odutil::Table::Num(set.summary.mean, 3),
                     odutil::Table::Num(set.Mean("mean_final_fidelity"), 2),
                     odutil::Table::Num(set.Mean("server_utilization"), 3),
@@ -135,11 +145,13 @@ ODBENCH_EXPERIMENT(fleet_sweep,
     if (kClients[i] < 1000) {
       continue;
     }
-    if (!(attainment[1][i] > attainment[0][i])) {
+    const double off = sweep.Set(cell[0][i]).summary.mean;
+    const double on = sweep.Set(cell[1][i]).summary.mean;
+    if (!(on > off)) {
       std::printf(
           "FAIL: cache-on attainment (%.3f) does not strictly dominate "
           "cache-off (%.3f) at %d clients\n",
-          attainment[1][i], attainment[0][i], kClients[i]);
+          on, off, kClients[i]);
       rc = 1;
     }
   }
@@ -159,17 +171,33 @@ ODBENCH_EXPERIMENT(fleet_small,
     return 64;
   }
 
+  // The same three cells run concurrently under --jobs, recorded in
+  // submission order.  Third arm: the same fleet with per-device behavior
+  // diversity — every device gated by its seed-assigned library scenario.
+  // Pins the gating in the compact golden: fewer fetches than the
+  // always-on arms and a nonzero skipped-tick count.
+  odharness::Sweep sweep(ctx);
+  size_t arm[2] = {};
+  for (int cache = 0; cache <= 1; ++cache) {
+    const bool cache_on = cache == 1;
+    arm[cache] = sweep.AddTrials(CellLabel(32, cache_on), 1, 91010 + cache,
+                                 [&plan, cache_on](uint64_t seed) {
+                                   return FleetCell(32, cache_on, plan, seed);
+                                 });
+  }
+  const size_t diverse_arm = sweep.AddTrials(
+      "n=32 cache=on scenarios", 1, 91012, [&plan](uint64_t seed) {
+        return FleetCell(32, /*cache_on=*/true, plan, seed,
+                         /*scenario_diversity=*/true);
+      });
+  sweep.Run();
+
   odutil::Table table("Fleet regression cell: 32 clients, 600 s goal");
   table.SetHeader({"Cache", "Attain", "Fid", "Util", "p50 wait", "p95 wait",
                    "Hit rate"});
   for (int cache = 0; cache <= 1; ++cache) {
-    bool cache_on = cache == 1;
-    odharness::TrialSet set =
-        ctx.RunTrials(CellLabel(32, cache_on), 1, 91010 + cache,
-                      [&, cache_on](uint64_t seed) {
-                        return FleetCell(32, cache_on, plan, seed);
-                      });
-    table.AddRow({cache_on ? "on" : "off",
+    const odharness::TrialSet& set = sweep.Set(arm[cache]);
+    table.AddRow({cache == 1 ? "on" : "off",
                   odutil::Table::Num(set.summary.mean, 3),
                   odutil::Table::Num(set.Mean("mean_final_fidelity"), 2),
                   odutil::Table::Num(set.Mean("server_utilization"), 3),
@@ -179,15 +207,7 @@ ODBENCH_EXPERIMENT(fleet_small,
   }
   table.Print();
 
-  // Third arm: the same fleet with per-device behavior diversity — every
-  // device gated by its seed-assigned library scenario.  Pins the gating
-  // in the compact golden: fewer fetches than the always-on arms and a
-  // nonzero skipped-tick count.
-  odharness::TrialSet diverse = ctx.RunTrials(
-      "n=32 cache=on scenarios", 1, 91012, [&](uint64_t seed) {
-        return FleetCell(32, /*cache_on=*/true, plan, seed,
-                         /*scenario_diversity=*/true);
-      });
+  const odharness::TrialSet& diverse = sweep.Set(diverse_arm);
   std::printf(
       "scenario-diverse arm: attainment %.3f, %d fetches, %d fetch "
       "tick(s) suppressed by behavior timelines\n",

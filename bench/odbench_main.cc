@@ -1,26 +1,24 @@
 // odbench — the single runner binary behind every experiment in the
 // evaluation suite.  Replaces the per-figure bench mains: each former main
 // is now a registration stub (see ODBENCH_EXPERIMENT) and this binary
-// lists/runs them, parallelizes their trials and sweeps, and writes a JSON
-// artifact per experiment.
+// lists/runs them one after another, parallelizes their trials and sweep
+// cells, and writes a JSON artifact per experiment.
 //
 //   odbench list
 //       Show every registered experiment with its description.
 //   odbench run <name|all> [--trials N] [--seed S] [--jobs J] [--out DIR]
 //       Run one experiment (unique prefixes accepted: `run fig04`) or all
 //       of them.  --trials/--seed override each trial set's paper defaults;
-//       --jobs bounds the total worker count across experiment processes,
-//       trial pools, and sweep cells (results are bit-identical to
-//       --jobs 1); --out selects the artifact directory (default
-//       "artifacts", "none" disables).  --compact writes single-line
-//       artifact JSON (the committed golden fixtures use it);
-//       --experiment-timeout SIGKILLs any forked run-all child that
-//       exceeds the per-experiment wall-clock budget (reported as rc 124);
-//       --fault-plan offers an odfault disturbance spec (see
-//       src/fault/fault_plan.h) to fault-aware experiments; --scenario
-//       restricts scenario-aware experiments (scenario_sweep) to one named
-//       user-behavior scenario (see src/scenario/library.h).  Flags and
-//       positionals may be interleaved: `odbench run --jobs 4 all` works.
+//       --jobs bounds the worker threads of each experiment's trial pools
+//       and sweep cells (results are bit-identical to --jobs 1); --out
+//       selects the artifact directory (default "artifacts", "none"
+//       disables).  --compact writes single-line artifact JSON (the
+//       committed golden fixtures use it); --fault-plan offers an odfault
+//       disturbance spec (see src/fault/fault_plan.h) to fault-aware
+//       experiments; --scenario restricts scenario-aware experiments
+//       (scenario_sweep) to one named user-behavior scenario (see
+//       src/scenario/library.h).  Flags and positionals may be
+//       interleaved: `odbench run --jobs 4 all` works.
 //   odbench diff <a.json> <b.json> [--rtol R] [--atol A]
 //       Structurally compare two run artifacts (sets by label, notes by
 //       key).  Exit 0: identical measurements; 1: numeric drift, all
@@ -57,9 +55,8 @@ int Usage(const char* prog) {
                "usage: %s list\n"
                "       %s run <name|all> [--trials N] [--seed S] [--jobs J]"
                " [--out DIR]\n"
-               "           [--compact] [--experiment-timeout SECONDS]"
-               " [--fault-plan SPEC] [--trace]\n"
-               "           [--scenario NAME]\n"
+               "           [--compact] [--fault-plan SPEC] [--trace]"
+               " [--scenario NAME]\n"
                "       %s diff <a.json> <b.json> [--rtol R] [--atol A]\n"
                "       %s diff --traces <a.trace.json> <b.trace.json>"
                " [--rtol R] [--atol A]\n"
@@ -167,7 +164,7 @@ int Diff(const odharness::Flags& flags, const char* prog) {
 
 int Main(int argc, char** argv) {
   // Stamp the application-layer calibration constants into every artifact's
-  // provenance before anything runs (children inherit this across fork).
+  // provenance before anything runs.
   odharness::SetProvenanceCalibration(odapps::CalibrationConstants());
 
   odharness::Flags flags(argc, argv);
@@ -196,8 +193,7 @@ int Main(int argc, char** argv) {
     return Usage(argv[0]);
   }
   if (!flags.Validate(
-          {"trials", "seed", "jobs", "out", "experiment-timeout",
-           "fault-plan", "scenario"},
+          {"trials", "seed", "jobs", "out", "fault-plan", "scenario"},
           {"compact", "trace"}, &error)) {
     std::fprintf(stderr, "odbench: %s\n", error.c_str());
     return Usage(argv[0]);
@@ -210,8 +206,6 @@ int Main(int argc, char** argv) {
   options.out_dir = flags.GetString("out", "artifacts");
   options.compact_artifacts = flags.Has("compact");
   options.trace = flags.Has("trace");
-  options.experiment_timeout_seconds = flags.GetNonNegativeDouble(
-      "experiment-timeout", 0.0, odfault::kMaxWindowEnd.seconds());
   options.fault_plan = flags.GetString("fault-plan", "");
   if (!options.fault_plan.empty()) {
     odfault::FaultPlan plan;

@@ -41,6 +41,9 @@ ODBENCH_EXPERIMENT(simspeed,
   odutil::Table table("Simulator workload counts (deterministic)");
   table.SetHeader({"Cell", "Events", "Sim s", "Checksum"});
 
+  // The cells run one after another, not as Sweep cells: together they take
+  // about a second, so running them concurrently would save little next to
+  // fleet_sweep's ten fleet runs.
   for (const CellSpec& spec : Cells()) {
     odapps::SimspeedCell cell;
     ctx.RunTrials(spec.name, 1, spec.seed, [&cell, &spec](uint64_t seed) {

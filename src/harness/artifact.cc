@@ -112,9 +112,8 @@ Provenance ProvenanceFromJson(const JsonValue* json) {
 
 bool WriteJsonFile(const std::string& path, const JsonValue& json,
                    bool compact) {
-  // Write-then-rename: a child killed mid-write (run-all schedules each
-  // experiment in its own process) must never leave a truncated document
-  // that a later diff or replay would consume as truth.
+  // Write-then-rename: a run interrupted mid-write must never leave a
+  // truncated document that a later diff or replay would consume as truth.
   const std::string tmp = path + ".tmp";
   {
     std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(

@@ -102,7 +102,7 @@ JsonValue ProvenanceToJson(const Provenance& provenance);
 Provenance ProvenanceFromJson(const JsonValue* json);
 
 // Serializes `json` to `path` via a temp file + rename, so a crashed or
-// killed writer never leaves a truncated document for a later diff or
+// interrupted writer never leaves a truncated document for a later diff or
 // replay to consume.  Pretty-printed by default; `compact` emits a single
 // line.  Returns false on I/O failure.
 bool WriteJsonFile(const std::string& path, const JsonValue& json,
@@ -143,9 +143,9 @@ struct RunArtifact {
   // (wrong version, missing experiment, malformed set entries).
   static std::optional<RunArtifact> FromJson(const JsonValue& json);
 
-  // Serializes to `path` via a temp file + rename, so a crashed or killed
-  // writer never leaves a truncated document for a later diff or replay to
-  // consume.  Pretty-printed by default; `compact` emits a single line
+  // Serializes to `path` via a temp file + rename, so a crashed or
+  // interrupted writer never leaves a truncated document for a later diff
+  // or replay to consume.  Pretty-printed by default; `compact` emits a single line
   // (same content, ~4x smaller — the committed golden fixtures use it).
   // Returns false on I/O failure.
   bool WriteFile(const std::string& path, bool compact = false) const;

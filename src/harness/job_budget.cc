@@ -5,10 +5,6 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
-#include <unistd.h>
-#endif
-
 #include "src/util/check.h"
 
 namespace odharness {
@@ -18,71 +14,22 @@ JobBudget& JobBudget::Global() {
   return *budget;
 }
 
-void JobBudget::ConfigureLocal(int tokens) {
-  if (mode_ == Mode::kPipe) {
-    return;  // Children of the run-all scheduler keep the inherited pipe.
-  }
-  mode_ = Mode::kLocal;
-  local_tokens_.store(tokens < 0 ? 0 : tokens, std::memory_order_relaxed);
-}
-
-void JobBudget::ConfigurePipe(int read_fd, int write_fd) {
-  mode_ = Mode::kPipe;
-  read_fd_ = read_fd;
-  write_fd_ = write_fd;
-}
-
-void JobBudget::Reset() {
-  mode_ = Mode::kUnconfigured;
-  local_tokens_.store(0, std::memory_order_relaxed);
-  read_fd_ = -1;
-  write_fd_ = -1;
+void JobBudget::Configure(int tokens) {
+  tokens_.store(tokens < 0 ? 0 : tokens, std::memory_order_relaxed);
 }
 
 bool JobBudget::TryAcquire() {
-  switch (mode_) {
-    case Mode::kUnconfigured:
+  int available = tokens_.load(std::memory_order_relaxed);
+  while (available > 0) {
+    if (tokens_.compare_exchange_weak(available, available - 1,
+                                      std::memory_order_relaxed)) {
       return true;
-    case Mode::kLocal: {
-      int available = local_tokens_.load(std::memory_order_relaxed);
-      while (available > 0) {
-        if (local_tokens_.compare_exchange_weak(available, available - 1,
-                                                std::memory_order_relaxed)) {
-          return true;
-        }
-      }
-      return false;
-    }
-    case Mode::kPipe: {
-#ifndef _WIN32
-      char token = 0;
-      return ::read(read_fd_, &token, 1) == 1;  // O_NONBLOCK: EAGAIN -> 0.
-#else
-      return true;
-#endif
     }
   }
-  return true;
+  return false;
 }
 
-void JobBudget::Release() {
-  switch (mode_) {
-    case Mode::kUnconfigured:
-      break;
-    case Mode::kLocal:
-      local_tokens_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case Mode::kPipe: {
-#ifndef _WIN32
-      char token = '+';
-      // A jobserver pipe never fills past its initial stock, so a short
-      // write here means the fd is gone — nothing sane to do but drop it.
-      [[maybe_unused]] ssize_t rc = ::write(write_fd_, &token, 1);
-#endif
-      break;
-    }
-  }
-}
+void JobBudget::Release() { tokens_.fetch_add(1, std::memory_order_relaxed); }
 
 void ParallelFor(int n, int max_workers,
                  const std::function<void(int)>& task) {

@@ -18,9 +18,8 @@ RunContext::RunContext(std::string experiment_name, const RunOptions& options)
   artifact_.provenance.calibration = ProvenanceCalibration();
   // All parallelism below this context — trial pools, sweep cells, nested
   // combinations — shares one budget of jobs-1 helper threads (the calling
-  // thread is the jobs-th worker).  Inside a run-all child this is a no-op:
-  // the inherited jobserver pipe already spans every sibling process.
-  JobBudget::Global().ConfigureLocal(runner_.jobs() - 1);
+  // thread is the jobs-th worker).
+  JobBudget::Global().Configure(runner_.jobs() - 1);
 }
 
 TrialSet RunContext::RunTrials(const std::string& label, int default_n,

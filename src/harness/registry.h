@@ -31,7 +31,7 @@ namespace odharness {
 struct RunOptions {
   int trials = 0;      // > 0 overrides each trial set's default count.
   uint64_t seed = 0;   // > 0 overrides each trial set's default base seed.
-  int jobs = 1;        // Trial-level parallelism.
+  int jobs = 1;        // Worker threads: trial pools and sweep cells.
   std::string out_dir; // Artifact/CSV directory; empty = no artifacts.
   // Single-line artifact JSON (same content, ~4x smaller); the committed
   // golden fixtures are written this way.
@@ -45,11 +45,6 @@ struct RunOptions {
   // Experiments that honor it stamp the canonical scenario text into
   // artifact provenance.
   std::string scenario;
-  // Per-experiment wall-clock budget for the forked run-all path, in
-  // seconds; 0 disables.  A child that exceeds it is SIGKILLed, reported
-  // as rc 124 in the registry-order replay, and its jobserver tokens are
-  // reclaimed.  Serial runs are not killed (there is no child to kill).
-  double experiment_timeout_seconds = 0.0;
   // Record per-component power traces for the experiment's signature
   // scenarios (see src/trace).  Trace-aware experiments attach a
   // "<name>.trace.json" aux document; scalar artifacts are byte-unchanged.

@@ -46,7 +46,6 @@ class Multimeter {
   void set_trigger(TriggerFn trigger) { trigger_ = std::move(trigger); }
 
   const std::vector<CurrentSample>& samples() const { return samples_; }
-  void ClearSamples() { samples_.clear(); }
 
  private:
   void TakeSample();

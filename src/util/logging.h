@@ -1,9 +1,12 @@
 // Minimal leveled logger.
 //
-// The simulator is deterministic and single-threaded, so the logger is
-// deliberately simple: printf-style formatting to stderr, filtered by a
-// global level.  Benches set the level to kWarn so that figure output stays
-// clean; tests may raise it to kDebug when diagnosing.
+// printf-style formatting to stderr, filtered by a global level.  Benches
+// keep the default kWarn so that figure output stays clean; tests may lower
+// it to kDebug when diagnosing.  Each simulation is single-threaded, but an
+// experiment may run several on parallel threads (sweep cells, trial
+// pools), so Log is thread-safe: each line is formatted whole and written
+// with one fwrite, and lines from different threads never splice.  Set the
+// level before such threads start; it is read unsynchronized.
 
 #ifndef SRC_UTIL_LOGGING_H_
 #define SRC_UTIL_LOGGING_H_

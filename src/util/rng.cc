@@ -84,15 +84,4 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * r * std::cos(theta);
 }
 
-double Rng::Exponential(double mean) {
-  OD_DCHECK(mean > 0.0);
-  double u = NextDouble();
-  while (u <= 1e-300) {
-    u = NextDouble();
-  }
-  return -mean * std::log(u);
-}
-
-Rng Rng::Fork() { return Rng(NextU64()); }
-
 }  // namespace odutil

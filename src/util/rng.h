@@ -38,13 +38,6 @@ class Rng {
   // Normal (Gaussian) with the given mean and standard deviation.
   double Normal(double mean, double stddev);
 
-  // Exponential with the given mean.
-  double Exponential(double mean);
-
-  // Derives an independent child generator; used to give each component of a
-  // large experiment its own stream without coupling their consumption.
-  Rng Fork();
-
  private:
   uint64_t state_;
   uint64_t inc_;

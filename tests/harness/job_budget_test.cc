@@ -9,16 +9,18 @@
 namespace odharness {
 namespace {
 
-// The global budget outlives each test; restore the unconfigured default
-// so tests cannot leak tokens (or the lack of them) into one another.
+// The global budget outlives each test; restore the unlimited default so
+// tests cannot leak tokens (or the lack of them) into one another.
 class JobBudgetTest : public testing::Test {
  protected:
-  void TearDown() override { JobBudget::Global().Reset(); }
+  void TearDown() override {
+    JobBudget::Global().Configure(JobBudget::kUnlimited);
+  }
 };
 
 TEST_F(JobBudgetTest, UnconfiguredAlwaysGrants) {
+  // Until a RunContext configures it, the budget is unlimited.
   JobBudget& budget = JobBudget::Global();
-  budget.Reset();
   for (int i = 0; i < 64; ++i) {
     EXPECT_TRUE(budget.TryAcquire());
   }
@@ -26,8 +28,7 @@ TEST_F(JobBudgetTest, UnconfiguredAlwaysGrants) {
 
 TEST_F(JobBudgetTest, LocalModeBoundsAndRecyclesTokens) {
   JobBudget& budget = JobBudget::Global();
-  budget.Reset();
-  budget.ConfigureLocal(2);
+  budget.Configure(2);
   EXPECT_TRUE(budget.TryAcquire());
   EXPECT_TRUE(budget.TryAcquire());
   EXPECT_FALSE(budget.TryAcquire());  // Budget exhausted.
@@ -38,14 +39,12 @@ TEST_F(JobBudgetTest, LocalModeBoundsAndRecyclesTokens) {
 
 TEST_F(JobBudgetTest, NegativeTokenCountClampsToZero) {
   JobBudget& budget = JobBudget::Global();
-  budget.Reset();
-  budget.ConfigureLocal(-5);
+  budget.Configure(-5);
   EXPECT_FALSE(budget.TryAcquire());
 }
 
 TEST_F(JobBudgetTest, ParallelForRunsEveryIndexExactlyOnce) {
-  JobBudget::Global().Reset();
-  JobBudget::Global().ConfigureLocal(3);
+  JobBudget::Global().Configure(3);
   constexpr int kTasks = 200;
   std::vector<std::atomic<int>> hits(kTasks);
   ParallelFor(kTasks, 4, [&](int i) {
@@ -63,8 +62,7 @@ TEST_F(JobBudgetTest, ParallelForZeroTasksIsANoop) {
 TEST_F(JobBudgetTest, ParallelForWorksWithExhaustedBudget) {
   // No helper token available: the calling thread must still finish all
   // work alone (acquisition is non-blocking by design).
-  JobBudget::Global().Reset();
-  JobBudget::Global().ConfigureLocal(0);
+  JobBudget::Global().Configure(0);
   std::vector<int> order;
   ParallelFor(5, 8, [&](int i) { order.push_back(i); });
   ASSERT_EQ(order.size(), 5u);
@@ -74,8 +72,7 @@ TEST_F(JobBudgetTest, ParallelForWorksWithExhaustedBudget) {
 }
 
 TEST_F(JobBudgetTest, ParallelForRethrowsLowestIndexException) {
-  JobBudget::Global().Reset();
-  JobBudget::Global().ConfigureLocal(3);
+  JobBudget::Global().Configure(3);
   try {
     ParallelFor(8, 4, [](int i) {
       if (i >= 2) {

@@ -1,20 +1,18 @@
 // Determinism of the real sweep-converted experiments: the artifact bytes
-// of fig16_summary and fig18_zoned (the former serial offenders, now the
-// heaviest Sweep users) must not depend on --jobs.  Links the full
-// odbench_experiments object library, like odbench_registration_test.
+// of fig16_summary, fig18_zoned and fleet_small (Sweep users whose cells
+// run concurrently under --jobs) must not depend on --jobs.  Links the
+// full odbench_experiments object library, like odbench_registration_test.
 
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "src/harness/job_budget.h"
 #include "src/harness/registry.h"
 
 namespace odharness {
 namespace {
 
 std::string ArtifactBytes(const std::string& name, int jobs) {
-  JobBudget::Global().Reset();
   const Experiment* experiment = ExperimentRegistry::Instance().Find(name);
   EXPECT_NE(experiment, nullptr) << name;
   if (experiment == nullptr) {
@@ -24,7 +22,6 @@ std::string ArtifactBytes(const std::string& name, int jobs) {
   options.jobs = jobs;
   RunContext ctx(name, options);
   EXPECT_EQ(experiment->run(ctx), 0) << name;
-  JobBudget::Global().Reset();
   return ctx.artifact().ToJson().Dump(2);
 }
 
@@ -35,6 +32,12 @@ TEST(OdbenchDeterminismTest, Fig16SummaryArtifactIndependentOfJobs) {
 
 TEST(OdbenchDeterminismTest, Fig18ZonedArtifactIndependentOfJobs) {
   EXPECT_EQ(ArtifactBytes("fig18_zoned", 1), ArtifactBytes("fig18_zoned", 8));
+}
+
+// fleet_small's three cells run concurrently under --jobs 8: three
+// RunFleetScenario calls at once, each logging from its own thread.
+TEST(OdbenchDeterminismTest, FleetSmallArtifactIndependentOfJobs) {
+  EXPECT_EQ(ArtifactBytes("fleet_small", 1), ArtifactBytes("fleet_small", 8));
 }
 
 TEST(OdbenchDeterminismTest, AblateCpuScalingArtifactIndependentOfJobs) {

@@ -1,9 +1,5 @@
 #include "src/harness/scheduler.h"
 
-#ifndef _WIN32
-#include <unistd.h>
-#endif
-
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -42,16 +38,6 @@ const Experiment kAlpha{"alpha", "alpha experiment", &RunAlpha};
 const Experiment kBeta{"beta", "beta experiment", &RunBeta};
 const Experiment kGamma{"gamma", "gamma experiment", &RunGamma};
 
-#ifndef _WIN32
-// Sleeps far past any timeout the watchdog tests configure; only ever runs
-// forked, where SIGKILL cuts the sleep short.
-int RunSleeper(RunContext&) {
-  ::usleep(30'000'000);
-  return 0;
-}
-const Experiment kSleeper{"sleeper", "sleeps until killed", &RunSleeper};
-#endif
-
 std::string Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
@@ -61,7 +47,9 @@ std::string Slurp(const std::string& path) {
 
 class SchedulerTest : public testing::Test {
  protected:
-  void TearDown() override { JobBudget::Global().Reset(); }
+  void TearDown() override {
+    JobBudget::Global().Configure(JobBudget::kUnlimited);
+  }
 };
 
 TEST_F(SchedulerTest, ParallelSuiteMatchesSerialArtifactsAndWorstRc) {
@@ -79,7 +67,6 @@ TEST_F(SchedulerTest, ParallelSuiteMatchesSerialArtifactsAndWorstRc) {
   serial.out_dir = serial_dir;
   EXPECT_EQ(RunExperiments(suite, serial), 3);
 
-  JobBudget::Global().Reset();
   RunOptions parallel;
   parallel.jobs = 4;
   parallel.out_dir = parallel_dir;
@@ -101,47 +88,6 @@ TEST_F(SchedulerTest, RunWithoutOutDirWritesNoArtifacts) {
   EXPECT_EQ(RunExperiment(kAlpha, options), 0);
   EXPECT_EQ(RunExperiment(kBeta, options), 3);
 }
-
-#ifndef _WIN32
-TEST_F(SchedulerTest, WatchdogKillsOverdueChildAsExitCode124) {
-  const std::string out_dir = testing::TempDir() + "/sched_watchdog";
-  std::filesystem::remove_all(out_dir);
-  std::filesystem::create_directories(out_dir);
-
-  RunOptions options;
-  options.jobs = 2;  // Forked mode; the watchdog only applies there.
-  options.out_dir = out_dir;
-  options.experiment_timeout_seconds = 0.2;
-  const std::vector<const Experiment*> suite = {&kAlpha, &kSleeper};
-  EXPECT_EQ(RunExperiments(suite, options), 124);
-
-  // The well-behaved experiment still ran to completion and wrote its
-  // artifact; the killed one never got that far.
-  EXPECT_TRUE(std::filesystem::exists(out_dir + "/alpha.json"));
-  EXPECT_FALSE(std::filesystem::exists(out_dir + "/sleeper.json"));
-  std::filesystem::remove_all(out_dir);
-}
-
-TEST_F(SchedulerTest, GenerousTimeoutKillsNothing) {
-  RunOptions options;
-  options.jobs = 2;
-  options.experiment_timeout_seconds = 60.0;
-  const std::vector<const Experiment*> suite = {&kAlpha, &kGamma};
-  EXPECT_EQ(RunExperiments(suite, options), 0);
-}
-
-TEST_F(SchedulerTest, SuiteSurvivesAndContinuesPastAKill) {
-  // Experiments queued behind the killed one must still run: the reclaimed
-  // jobserver tokens keep the pool usable.
-  RunOptions options;
-  options.jobs = 2;
-  options.experiment_timeout_seconds = 0.2;
-  const std::vector<const Experiment*> suite = {&kSleeper, &kAlpha, &kBeta,
-                                                &kGamma};
-  // Worst rc across the suite: the kill (124) dominates beta's 3.
-  EXPECT_EQ(RunExperiments(suite, options), 124);
-}
-#endif
 
 TEST_F(SchedulerTest, ArtifactWriteFailureIsANonzeroExit) {
   // Block the artifact directory with a regular file so WriteFile fails.

@@ -14,7 +14,9 @@ namespace {
 
 class SweepRunnerTest : public testing::Test {
  protected:
-  void TearDown() override { JobBudget::Global().Reset(); }
+  void TearDown() override {
+    JobBudget::Global().Configure(JobBudget::kUnlimited);
+  }
 };
 
 // A deterministic stand-in measurement: nontrivial floating point so any
@@ -29,7 +31,6 @@ TrialSample FakeMeasure(uint64_t seed) {
 // Builds the same heterogeneous sweep (plain cells, a hidden baseline, a
 // nested trial set) under a given job count and returns the artifact bytes.
 std::string ArtifactBytes(int jobs) {
-  JobBudget::Global().Reset();
   RunOptions options;
   options.jobs = jobs;
   RunContext ctx("sweep_test", options);

@@ -78,14 +78,5 @@ TEST(MultimeterTest, StopHaltsSampling) {
   EXPECT_EQ(meter.samples().size(), count);
 }
 
-TEST(MultimeterTest, ClearSamples) {
-  Rig rig;
-  Multimeter meter(&rig.sim, &rig.machine, MultimeterConfig{}, 1);
-  meter.Start();
-  rig.sim.RunUntil(odsim::SimTime::Seconds(0.05));
-  meter.ClearSamples();
-  EXPECT_TRUE(meter.samples().empty());
-}
-
 }  // namespace
 }  // namespace odscope

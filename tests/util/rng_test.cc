@@ -103,40 +103,5 @@ TEST(RngTest, NormalMoments) {
   EXPECT_NEAR(std::sqrt(var), 2.0, 0.05);
 }
 
-TEST(RngTest, ExponentialMean) {
-  Rng rng(19);
-  constexpr int kTrials = 100000;
-  double sum = 0.0;
-  for (int i = 0; i < kTrials; ++i) {
-    double v = rng.Exponential(4.0);
-    EXPECT_GE(v, 0.0);
-    sum += v;
-  }
-  EXPECT_NEAR(sum / kTrials, 4.0, 0.1);
-}
-
-TEST(RngTest, ForkIsIndependentOfParentConsumption) {
-  Rng parent1(23);
-  Rng child1 = parent1.Fork();
-  // A forked child from the same parent state yields the same stream.
-  Rng parent2(23);
-  Rng child2 = parent2.Fork();
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(child1.NextU32(), child2.NextU32());
-  }
-}
-
-TEST(RngTest, ForkedChildDiffersFromParent) {
-  Rng parent(29);
-  Rng child = parent.Fork();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (parent.NextU32() == child.NextU32()) {
-      ++same;
-    }
-  }
-  EXPECT_LT(same, 3);
-}
-
 }  // namespace
 }  // namespace odutil
